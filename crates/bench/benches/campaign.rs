@@ -1,7 +1,7 @@
 //! E17 — the `ped --campaign` differential-fuzzing campaign engine at
 //! throughput.
 //!
-//! Four measurements, one artifact (`target/BENCH_E17.json`):
+//! Three measurements, one artifact (`target/BENCH_E17.json`):
 //!
 //! 1. **Main campaign** — 1000 generated seeds through the full pipelined
 //!    generate→analyze→autopar→check→bit-equality oracle on the
@@ -9,14 +9,10 @@
 //!    sessions. Asserted: every seed clean, every stage timed, and the
 //!    campaign-wide pair-cache hit rate strictly positive (the shared
 //!    cache is the architecture, not an option).
-//! 2. **Naive baseline** — the same oracle one-seed-at-a-time: one
-//!    worker, a fresh session and a private pair cache per seed, nothing
-//!    recycled. The pipelined/naive programs-per-second ratio is printed
-//!    and asserted `> 1`.
-//! 3. **Seeded-fault campaign** — `--mutate private` over a small corpus:
+//! 2. **Seeded-fault campaign** — `--mutate private` over a small corpus:
 //!    every mutant must be caught and delta-debugged to a reproducer that
 //!    is no larger than the original and still on disk.
-//! 4. **Concatenated-unit stress** — one `gen_concat_source` program of
+//! 3. **Concatenated-unit stress** — one `gen_concat_source` program of
 //!    many namespaced copies analyzed in a single session, reporting
 //!    source lines/sec through whole-program analysis.
 
@@ -30,9 +26,6 @@ use std::time::Instant;
 
 /// Seeds in the main pipelined campaign (the E17 headline corpus).
 const CAMPAIGN_SEEDS: usize = 1000;
-/// Seeds the naive baseline runs (enough for a stable rate; running the
-/// full corpus one-at-a-time would only make the ratio larger).
-const NAIVE_SEEDS: usize = 100;
 /// Seeds in the seeded-fault (mutation) campaign.
 const MUTANT_SEEDS: usize = 12;
 /// Copies in the concatenated-unit stress program.
@@ -87,43 +80,7 @@ fn main() {
     }
     println!();
 
-    // 2. Naive one-seed-at-a-time baseline, interleaved with same-size
-    // pipelined runs; median rates keep transient machine load out of
-    // the ratio.
-    let pipe_cfg = CampaignConfig {
-        seeds: NAIVE_SEEDS,
-        seed_start: 1,
-        gen: gen_cfg(),
-        ..CampaignConfig::default()
-    };
-    let naive_cfg = CampaignConfig { naive: true, ..pipe_cfg.clone() };
-    let mut pipe_rates = Vec::new();
-    let mut naive_rates = Vec::new();
-    for _ in 0..3 {
-        let p = ped_core::run_campaign(&pipe_cfg);
-        assert!(p.clean(), "pipelined ratio run found discrepancies");
-        pipe_rates.push(p.programs_per_sec());
-        let n = ped_core::run_campaign(&naive_cfg);
-        assert!(n.clean(), "naive baseline found discrepancies");
-        naive_rates.push(n.programs_per_sec());
-    }
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.total_cmp(b));
-        v[v.len() / 2]
-    };
-    let pipe_pps = median(&mut pipe_rates);
-    let naive_pps = median(&mut naive_rates);
-    let ratio = pipe_pps / naive_pps;
-    println!(
-        "naive baseline: {NAIVE_SEEDS} seeds/run, median {naive_pps:.1} programs/sec vs \
-         pipelined median {pipe_pps:.1}; pipelined/naive = {ratio:.2}x"
-    );
-    assert!(
-        ratio > 1.0,
-        "pipelined campaign ({pipe_pps:.1} pps) not faster than naive baseline ({naive_pps:.1} pps)"
-    );
-
-    // 3. Seeded-fault campaign: strip private clauses, demand the checker
+    // 2. Seeded-fault campaign: strip private clauses, demand the checker
     // catches every mutant and minimization preserves the verdict.
     let repro_dir =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/e17_repros");
@@ -162,7 +119,7 @@ fn main() {
         repro_dir.display()
     );
 
-    // 4. Concatenated-unit stress: one giant multi-copy program through
+    // 3. Concatenated-unit stress: one giant multi-copy program through
     // whole-program analysis in a single session.
     let concat = gen_concat_source(gen_cfg(), CONCAT_COPIES);
     let concat_lines = concat.lines().count();
@@ -180,8 +137,8 @@ fn main() {
         lines_per_sec
     );
 
-    // Artifact: campaign summary + ratio + a v8 profile report whose
-    // `campaign` section CI schema-checks.
+    // Artifact: campaign summary + a profile report whose `campaign`
+    // section CI schema-checks.
     let mut report = ProfileReport::empty();
     report.campaign = out.campaign_report();
     report.cache.pair_hits = out.cache.hits;
@@ -192,15 +149,6 @@ fn main() {
     let doc = Json::obj(vec![
         ("experiment", Json::str("E17")),
         ("campaign", out.to_json()),
-        (
-            "naive",
-            Json::obj(vec![
-                ("seeds_per_run", Json::int(NAIVE_SEEDS as u64)),
-                ("median_programs_per_sec", Json::Num(naive_pps)),
-                ("pipelined_median_programs_per_sec", Json::Num(pipe_pps)),
-            ]),
-        ),
-        ("pipelined_vs_naive_ratio", Json::Num(ratio)),
         (
             "mutation",
             Json::obj(vec![

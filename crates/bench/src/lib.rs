@@ -249,16 +249,16 @@ mod tests {
                     mode: ped_runtime::ParallelMode::Simulate(
                         ped_runtime::Machine::alliant8(),
                     ),
-                    detect_races: true,
                     ..Default::default()
                 })
                 .unwrap();
             assert_eq!(serial.printed, sim.printed, "{} changed output", w.name);
+            let report = ped.check(ped_runtime::ExecConfig::default()).unwrap();
             assert!(
-                sim.races.is_empty(),
-                "{}: races after parallelization: {:?}",
+                report.clean(),
+                "{}: races after parallelization:\n{}",
                 w.name,
-                sim.races
+                report.render_text()
             );
             if w.name == "pneoss" {
                 assert!(n >= 2, "pneoss should parallelize several loops");

@@ -42,13 +42,11 @@
 //! strips that clause kind from every `PARALLEL DO` after autopar — a
 //! seeded-fault mode where a *clean* run means the checker failed.
 //! `--json` prints the machine-readable campaign summary; `--profile`
-//! prints a schema-v8 profile report with the `campaign` section filled;
-//! `--naive` is the unshared single-worker baseline the E17 speedup is
-//! measured against.
+//! prints the profile report with the `campaign` section filled.
 
 use ped_core::{
     autoparallelize, autopilot, render, render_suggest, suggest, Assertion, AutopilotConfig,
-    CampaignConfig, DepFilter, Mark, Ped, ProfileReport, SourceFilter,
+    CampaignConfig, DepFilter, Mark, Ped, ProfileReport, SourceFilter, PROFILE_SCHEMA_VERSION,
 };
 use ped_runtime::{Engine, ExecConfig, Machine, ParallelMode, Schedule};
 use ped_transform::Xform;
@@ -56,7 +54,7 @@ use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: ped [--batch] [--profile] [--autopar|--autopilot] [--check] [--threads <N>] [--schedule <spec>] [--engine <bytecode|tree>] <file.f>\n\
        ped [--batch] [--profile] [--autopar|--autopilot] [--check] [--threads <N>] [--schedule <spec>] [--engine <bytecode|tree>] --workload <name>\n\
-       ped --campaign <seeds> [--seed-start <N>] [--workers <N>] [--mutate <clause>] [--autopilot] [--repro-dir <dir>] [--naive] [--json | --profile]\n\
+       ped --campaign <seeds> [--seed-start <N>] [--workers <N>] [--mutate <clause>] [--autopilot] [--repro-dir <dir>] [--json | --profile]\n\
            [--gen-units <N>] [--gen-loops <N>] [--gen-stmts <N>] [--gen-extent <N>]\n\
        ped serve [--listen <addr>] [--store <dir>]\n\
        ped --validate-profile <report.json>";
@@ -125,7 +123,6 @@ fn main() {
                 }
                 None => exit_usage("--repro-dir needs a directory"),
             },
-            "--naive" => campaign.get_or_insert_with(CampaignConfig::default).naive = true,
             "--gen-units" | "--gen-loops" | "--gen-stmts" | "--gen-extent" => {
                 let Some(n) = it.next().and_then(|n| n.parse::<usize>().ok()).filter(|&n| n > 0)
                 else {
@@ -350,8 +347,8 @@ fn serve_main(args: &[String]) {
 
 /// `ped --campaign <seeds> …`: run the differential-fuzzing campaign and
 /// report. Human-readable summary on stderr; `--json` puts the campaign
-/// summary on stdout, `--profile` a schema-v8 profile report with the
-/// `campaign` section (and the campaign-wide pair-cache counters) filled.
+/// summary on stdout, `--profile` the profile report with the `campaign`
+/// section (and the campaign-wide pair-cache counters) filled.
 /// Exits 1 when any discrepancy survived minimization.
 fn campaign_main(cfg: &CampaignConfig, json: bool, profile: bool) {
     let out = ped_core::run_campaign(cfg);
@@ -432,8 +429,7 @@ fn validate_profile(file: &str) {
     match ProfileReport::from_json_str(&text) {
         Ok(r) => {
             println!(
-                "{file}: valid profile report (schema v{}, {} phase(s), {} pair decision(s), {} edge(s))",
-                r.schema_version,
+                "{file}: valid profile report (schema v{PROFILE_SCHEMA_VERSION}, {} phase(s), {} pair decision(s), {} edge(s))",
                 r.phases.len(),
                 r.total_pairs(),
                 r.total_edges()
@@ -489,7 +485,7 @@ fn batch_run_threads(ped: &Ped, defaults: RunDefaults, quiet: bool) {
     }
 }
 
-/// Build the execution config the batch-mode defaults describe.
+/// Build the execution config the session defaults describe.
 fn exec_config(defaults: RunDefaults) -> ExecConfig {
     ExecConfig {
         mode: match defaults.threads {
@@ -578,7 +574,7 @@ suggest                       autopilot advisory: ranked transform plan per
                               nest with predicted speedup and safety verdict
 undo / redo
 source                        print the regenerated source
-run [serial|sim <P>|threads <N>] [check]
+run [serial|sim <P>|threads <N>]
 check                         shadow-runtime validation: run once with the
                               access logger on, cross-check observed deps
                               against the static graphs, report races
@@ -762,15 +758,7 @@ quit"
             Ok(false)
         }
         ["run", rest @ ..] => {
-            let mut config = ExecConfig {
-                mode: match defaults.threads {
-                    Some(n) => ParallelMode::Threads(n),
-                    None => ParallelMode::Serial,
-                },
-                schedule: defaults.schedule,
-                engine: defaults.engine,
-                ..ExecConfig::default()
-            };
+            let mut config = exec_config(*defaults);
             let mut it = rest.iter();
             while let Some(w) = it.next() {
                 match *w {
@@ -789,7 +777,6 @@ quit"
                             .ok_or("threads needs a count")?;
                         config.mode = ParallelMode::Threads(n);
                     }
-                    "check" => config.detect_races = true,
                     other => return Err(format!("unknown run option {other}")),
                 }
             }
@@ -806,18 +793,6 @@ quit"
                     r.sched.chunks_stolen,
                     r.sched.imbalance_ratio()
                 );
-            }
-            if config.detect_races {
-                if r.races.is_empty() {
-                    println!("run-time dependence check: clean");
-                } else {
-                    for race in &r.races {
-                        println!(
-                            "CONFLICT: {} element {} in loop {} of {}",
-                            race.var, race.element, race.loop_stmt, race.unit
-                        );
-                    }
-                }
             }
             Ok(false)
         }

@@ -58,11 +58,6 @@ pub struct CampaignConfig {
     /// Where minimized reproducers are written (`repro_seed<N>.f` plus a
     /// `.class.txt` sidecar naming the verdict class). None = don't write.
     pub repro_dir: Option<std::path::PathBuf>,
-    /// Naive baseline mode for the E17 throughput comparison: one worker,
-    /// a fresh session and a private pair cache per seed — no sharing, no
-    /// recycling, no pipelining. What a shell loop over `ped --batch`
-    /// would do.
-    pub naive: bool,
     /// Replace the push-button autopar stage with the autopilot planner:
     /// cost-model-driven transform search per nest (verification is left
     /// to the campaign's own check and equivalence stages, which cross-
@@ -81,7 +76,6 @@ impl Default for CampaignConfig {
             gen: GenConfig { units: 3, loops_per_unit: 4, stmts_per_loop: 3, extent: 12, seed: 0 },
             mutate: None,
             repro_dir: None,
-            naive: false,
             autopilot: false,
             minimize_budget: 300,
         }
@@ -127,8 +121,7 @@ pub struct CampaignOutcome {
     pub conservatism: Vec<(usize, u64)>,
     /// All discrepancies found, minimized.
     pub discrepancies: Vec<Discrepancy>,
-    /// Campaign-wide shared pair-cache totals (zeros in naive mode, where
-    /// every seed gets a private cache).
+    /// Campaign-wide shared pair-cache totals.
     pub cache: CacheStats,
 }
 
@@ -267,15 +260,12 @@ struct SeedOutcome {
 /// Run a campaign. Deterministic modulo timing: the corpus, the verdicts,
 /// and every reproducer depend only on the config.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
-    let workers = if cfg.naive {
-        1
-    } else if cfg.workers == 0 {
+    let workers = if cfg.workers == 0 {
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
     } else {
         cfg.workers
     };
-    let shared: Option<Arc<PairCache>> =
-        if cfg.naive { None } else { Some(Arc::new(PairCache::new())) };
+    let shared = Arc::new(PairCache::new());
     if let Some(dir) = &cfg.repro_dir {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -288,7 +278,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
         for _ in 0..workers {
             let tx = tx.clone();
             let next = &next;
-            let shared = shared.clone();
+            let shared = &shared;
             scope.spawn(move || {
                 // Worker-recycled state: one source buffer, one session.
                 let mut buf = String::new();
@@ -299,12 +289,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
                         break;
                     }
                     let seed = cfg.seed_start + i as u64;
-                    if cfg.naive {
-                        // Baseline: nothing carries over between seeds.
-                        buf = String::new();
-                        session = None;
-                    }
-                    let out = run_seed(cfg, seed, shared.as_ref(), &mut buf, &mut session);
+                    let out = run_seed(cfg, seed, shared, &mut buf, &mut session);
                     if tx.send(out).is_err() {
                         break;
                     }
@@ -315,9 +300,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignOutcome {
         aggregate(rx, workers)
     });
     outcome.elapsed_ns = t0.elapsed().as_nanos() as u64;
-    if let Some(cache) = &shared {
-        outcome.cache = cache.stats();
-    }
+    outcome.cache = shared.stats();
     outcome
 }
 
@@ -361,7 +344,7 @@ fn aggregate(rx: mpsc::Receiver<SeedOutcome>, workers: usize) -> CampaignOutcome
 fn run_seed(
     cfg: &CampaignConfig,
     seed: u64,
-    shared: Option<&Arc<PairCache>>,
+    shared: &Arc<PairCache>,
     buf: &mut String,
     session: &mut Option<Ped>,
 ) -> SeedOutcome {
@@ -375,8 +358,7 @@ fn run_seed(
         cfg.mutate.as_deref(),
         true,
         cfg.autopilot,
-        cfg.naive,
-        shared,
+        Some(shared),
         session,
         &mut stage_ns,
     );
@@ -405,13 +387,11 @@ fn run_seed(
 /// parallelizer would regenerate the very clauses a seeded mutation
 /// stripped, healing the reproducer.
 #[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)]
 fn pipeline(
     src: &str,
     mutate: Option<&str>,
     autopar: bool,
     autopilot: bool,
-    text_level: bool,
     shared: Option<&Arc<PairCache>>,
     session: &mut Option<Ped>,
     stage_ns: &mut [u64; 5],
@@ -520,18 +500,12 @@ fn pipeline(
     }
 
     // Equivalence: serial bytecode is the reference; the tree engine,
-    // the simulator (with its race detector), and the threaded runtime
-    // under two schedules must match it bit for bit. The campaign path
-    // runs every variant off the session's already-parsed AST and reuses
-    // the check stage's instrumented run as the reference; the naive
-    // baseline re-parses the text and re-runs the reference, like the
-    // pre-campaign harnesses.
+    // the simulator, and the threaded runtime under two schedules must
+    // match it bit for bit. Every variant runs off the session's
+    // already-parsed AST and the check stage's instrumented run is the
+    // reference.
     let t = Instant::now();
-    let equiv = if text_level {
-        check_equivalence_text(&par_src)
-    } else {
-        check_equivalence(ped.program(), &reference, ref_mem)
-    };
+    let equiv = check_equivalence(ped.program(), &reference, ref_mem);
     stage_ns[4] += t.elapsed().as_nanos() as u64;
     match equiv {
         Ok(()) => Ok((loops_total, converted)),
@@ -547,7 +521,7 @@ fn pipeline(
 pub fn classify(src: &str) -> Option<(String, String)> {
     let mut session = None;
     let mut ns = [0u64; 5];
-    match pipeline(src, None, false, false, false, None, &mut session, &mut ns) {
+    match pipeline(src, None, false, false, None, &mut session, &mut ns) {
         Err((class, detail, _)) => Some((class, detail)),
         Ok(_) => None,
     }
@@ -573,7 +547,6 @@ fn equivalence_variants() -> [(&'static str, ExecConfig); 4] {
             "simulate-4",
             ExecConfig {
                 mode: ParallelMode::Simulate(Machine::with_procs(4)),
-                detect_races: true,
                 ..ExecConfig::default()
             },
         ),
@@ -618,27 +591,6 @@ fn check_equivalence(
     Ok(())
 }
 
-/// The status-quo text-level equivalence loop (what the pre-campaign
-/// harnesses do): re-parse the program text for the skip-set and for
-/// every single run — six parses per seed. The naive baseline runs this
-/// so the pipelined/naive ratio charges the campaign engine's
-/// parse-once-per-seed structure honestly.
-fn check_equivalence_text(par_src: &str) -> Result<(), (String, String)> {
-    let program = ped_fortran::parse_program(par_src)
-        .map_err(|e| ("parse-error".to_string(), e.to_string()))?;
-    let skip = unspecified_privates(&program);
-    drop(program);
-    let (reference, ref_mem) = interp::run_source_with_memory(par_src, ExecConfig::default())
-        .map_err(|e| ("runtime-error:serial".to_string(), e.to_string()))?;
-    let ref_mem: Vec<_> = ref_mem.into_iter().filter(|(n, _)| !skip.contains(n)).collect();
-    for (label, config) in equivalence_variants() {
-        let (r, mem) = interp::run_source_with_memory(par_src, config)
-            .map_err(|e| (format!("runtime-error:{label}"), e.to_string()))?;
-        diff_runs(label, &skip, &reference, &ref_mem, r, mem)?;
-    }
-    Ok(())
-}
-
 /// Compare one variant run against the serial reference.
 fn diff_runs(
     label: &str,
@@ -648,12 +600,6 @@ fn diff_runs(
     r: interp::RunResult,
     mem: interp::MemorySnapshot,
 ) -> Result<(), (String, String)> {
-    if !r.races.is_empty() {
-        return Err((
-            "race:simulated".to_string(),
-            format!("{label}: {} simulated conflict(s), first on {}", r.races.len(), r.races[0].var),
-        ));
-    }
     if r.printed != reference.printed {
         return Err((
             "divergence:printed".to_string(),
@@ -712,7 +658,7 @@ fn panic_text(panic: Box<dyn std::any::Any + Send>) -> String {
 fn minimize_and_record(
     cfg: &CampaignConfig,
     seed: u64,
-    shared: Option<&Arc<PairCache>>,
+    shared: &Arc<PairCache>,
     class: String,
     detail: String,
     source: String,
@@ -725,7 +671,7 @@ fn minimize_and_record(
         // parallelized program leaves the marked loops alone.
         let mut session = None;
         let mut ns = [0u64; 5];
-        match pipeline(candidate, None, false, false, false, shared, &mut session, &mut ns) {
+        match pipeline(candidate, None, false, false, Some(shared), &mut session, &mut ns) {
             Err((c, _, _)) => Some(c),
             Ok(_) => None,
         }
@@ -853,8 +799,7 @@ mod tests {
             assert!(d.minimized.lines().count() <= d.source.lines().count());
             let mut session = None;
             let mut ns = [0u64; 5];
-            let replay =
-                pipeline(&d.minimized, None, false, false, false, None, &mut session, &mut ns);
+            let replay = pipeline(&d.minimized, None, false, false, None, &mut session, &mut ns);
             assert_eq!(
                 replay.as_ref().err().map(|(c, _, _)| c.as_str()),
                 Some(d.class.as_str()),
@@ -890,15 +835,6 @@ mod tests {
             "ddmin left {} lines:\n{min}",
             min.lines().count()
         );
-    }
-
-    #[test]
-    fn naive_mode_runs_single_worker_without_shared_cache() {
-        let cfg = CampaignConfig { naive: true, ..tiny_cfg(4) };
-        let out = run_campaign(&cfg);
-        assert_eq!(out.workers, 1);
-        assert!(out.clean(), "{:?}", out.discrepancies);
-        assert_eq!(out.cache, CacheStats { hits: 0, misses: 0 });
     }
 
     #[test]

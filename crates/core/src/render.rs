@@ -20,6 +20,9 @@ pub fn render_loop_view(
     dep_filter: &DepFilter,
     src_filter: &SourceFilter,
 ) -> Result<String, crate::session::PedError> {
+    // The graph first: it rejects a header that is not a loop of the unit
+    // before the source pane tries to print it.
+    let g = ped.graph(unit_idx, header)?;
     let unit_name = ped.program().units[unit_idx].name.clone();
     let mut out = String::new();
     let width = 78;
@@ -44,12 +47,6 @@ pub fn render_loop_view(
     // ---- dependence pane --------------------------------------------------
     out.push_str("│ dependences:  id  type    var       vector      level  status    tests\n");
     let rows: Vec<String> = {
-        let statuses: Vec<(usize, crate::session::DepStatus)> = {
-            let g = ped.graph(unit_idx, header)?;
-            g.deps.iter().map(|d| (d.id, crate::session::DepStatus::Pending)).collect()
-        };
-        let _ = statuses;
-        let g = ped.graph(unit_idx, header)?.clone();
         let unit = &ped.program().units[unit_idx];
         g.deps
             .iter()
@@ -92,7 +89,6 @@ pub fn render_loop_view(
 
     // ---- variable pane ----------------------------------------------------
     out.push_str("│ variables:\n");
-    let g = ped.graph(unit_idx, header)?.clone();
     let unit = &ped.program().units[unit_idx];
     let mut vars: Vec<(String, String)> = g
         .scalar_classes

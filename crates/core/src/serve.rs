@@ -647,6 +647,22 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_transform_target_is_an_error_and_the_session_survives() {
+        let d = Daemon::new(None);
+        let s = open(&d, STDIO_OWNER);
+        let reply = |line: String| json::parse(&d.handle_line(STDIO_OWNER, &line).text).unwrap();
+        let bad = reply(format!(
+            "{{\"id\":2,\"verb\":\"transform\",\"session\":{s},\"unit\":\"tiny\",\
+             \"target\":999,\"xform\":\"parallelize\"}}"
+        ));
+        assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(bad.get("error").and_then(|e| e.get("code")).is_some());
+        let ok = reply(format!("{{\"id\":3,\"verb\":\"analyze\",\"session\":{s}}}"));
+        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));
+    }
+
+    #[test]
     fn request_id_is_echoed_verbatim() {
         let d = Daemon::new(None);
         let resp = d.handle_line(0, "{\"id\":\"req-17\",\"verb\":\"nope\"}");

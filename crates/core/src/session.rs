@@ -952,7 +952,7 @@ impl Ped {
         target: StmtId,
         xform: &Xform,
     ) -> Result<Diagnosis, PedError> {
-        let header = self.owning_loop(unit_idx, target);
+        let header = self.owning_loop(unit_idx, target)?;
         let marks = self.marks.clone();
         let g = self.graph_or_empty(unit_idx, header)?;
         let live_flags: Vec<bool> = g
@@ -984,7 +984,7 @@ impl Ped {
         target: StmtId,
         xform: &Xform,
     ) -> Result<Applied, PedError> {
-        let header = self.owning_loop(unit_idx, target);
+        let header = self.owning_loop(unit_idx, target)?;
         let graph = self.graph_or_empty(unit_idx, header)?;
         let pre = self.pre_edit(unit_idx);
         let saved = self.delta_of(unit_idx);
@@ -1133,18 +1133,23 @@ impl Ped {
     }
 
     /// The innermost loop containing `target` (or `target` itself if it is
-    /// a loop; falls back to the first loop of the unit).
-    fn owning_loop(&self, unit_idx: usize, target: StmtId) -> StmtId {
+    /// a loop; falls back to the first loop of the unit). An error when the
+    /// unit's body does not contain `target`.
+    fn owning_loop(&self, unit_idx: usize, target: StmtId) -> Result<StmtId, PedError> {
         let unit = &self.program.units[unit_idx];
         if unit.is_loop(target) {
-            return target;
+            return Ok(target);
         }
-        if let Some(enc) = ped_fortran::visit::enclosing_loops(unit, target) {
-            if let Some(&h) = enc.last() {
-                return h;
-            }
-        }
-        self.loops(unit_idx).first().map(|&(s, _)| s).unwrap_or(target)
+        let enc = ped_fortran::visit::enclosing_loops(unit, target)
+            .ok_or_else(|| PedError(format!("{target} is not a statement of {}", unit.name)))?;
+        Ok(match enc.last() {
+            Some(&h) => h,
+            None => self
+                .loops(unit_idx)
+                .first()
+                .map(|&(s, _)| s)
+                .unwrap_or(target),
+        })
     }
 
     /// Execute the current program. When profiling is on, the run is timed
@@ -1395,6 +1400,19 @@ mod tests {
             ped.mark(0, scatter, id, Mark::Rejected).unwrap();
         }
         assert!(ped.parallelizable(0, scatter).unwrap());
+    }
+
+    #[test]
+    fn out_of_range_statement_ids_are_errors_not_panics() {
+        let mut ped = Ped::open(INDEX_ARRAY_SRC).unwrap();
+        let bogus = StmtId(999);
+        assert!(ped.graph(0, bogus).is_err());
+        assert!(ped.mark(0, bogus, 0, Mark::Rejected).is_err());
+        assert!(ped.diagnose(0, bogus, &Xform::Parallelize).is_err());
+        assert!(ped.apply(0, bogus, &Xform::Parallelize).is_err());
+        // Nothing was applied, and the session still answers.
+        assert!(!ped.undo());
+        assert_eq!(ped.loops(0).len(), 2);
     }
 
     #[test]

@@ -150,9 +150,11 @@ impl ProgramUnit {
         }
     }
 
-    /// True if the statement is a DO loop.
+    /// True if the statement is a DO loop; false for ids past the arena.
     pub fn is_loop(&self, id: StmtId) -> bool {
-        matches!(self.stmt(id).kind, StmtKind::Do(_))
+        self.stmts
+            .get(id.index())
+            .is_some_and(|s| matches!(s.kind, StmtKind::Do(_)))
     }
 }
 

@@ -23,7 +23,7 @@ pub mod report;
 pub use report::{
     AutopilotReport, CacheReport, CampaignReport, DepTestStat, IncrementalReport,
     LoopProfileStat, PhaseStat, ProfileReport, SchedulerReport, ServeReport, UnitStat,
-    ValidationSummary, PROFILE_SCHEMA_MIN_VERSION, PROFILE_SCHEMA_VERSION,
+    ValidationSummary, PROFILE_SCHEMA_VERSION,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -5,8 +5,8 @@
 use crate::json::{self, Json};
 use crate::{ObsSnapshot, Phase, TestKind};
 
-/// Shadow-runtime validation counters (schema v4). All zero in reports
-/// parsed from pre-v4 JSON or from sessions that never ran `check`.
+/// Shadow-runtime validation counters. All zero in sessions that never
+/// ran `check`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ValidationSummary {
     /// Checked runs performed.
@@ -24,9 +24,8 @@ pub struct ValidationSummary {
     pub validated_deletions: u64,
 }
 
-/// Bounded regular-section analysis counters (schema v7). All zero in
-/// reports parsed from pre-v7 JSON or from sessions that never built a
-/// dependence graph.
+/// Bounded regular-section analysis counters. All zero in sessions that
+/// never built a dependence graph.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SectionsReport {
     /// Arrays classified by the section walk across all graph builds.
@@ -37,10 +36,10 @@ pub struct SectionsReport {
     pub privatizable: u64,
 }
 
-/// Campaign-mode throughput counters (schema v8). All zero in reports
-/// parsed from pre-v8 JSON or from sessions that never ran `--campaign`.
-/// Like [`ServeReport`], the registry knows nothing about campaigns; the
-/// campaign engine fills this in from its own counters before emitting.
+/// Campaign-mode throughput counters. All zero in sessions that never ran
+/// `--campaign`. Like [`ServeReport`], the registry knows nothing about
+/// campaigns; the campaign engine fills this in from its own counters
+/// before emitting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CampaignReport {
     /// Seeds pushed through the full pipeline.
@@ -63,10 +62,10 @@ pub struct CampaignReport {
     pub equivalence_ns: u64,
 }
 
-/// Autopilot planner counters (schema v9). All zero in reports parsed
-/// from pre-v9 JSON or from sessions that never ran the planner. Like
-/// [`CampaignReport`], the registry knows nothing about the planner; the
-/// autopilot driver fills this in from its search outcome before emitting.
+/// Autopilot planner counters. All zero in sessions that never ran the
+/// planner. Like [`CampaignReport`], the registry knows nothing about the
+/// planner; the autopilot driver fills this in from its search outcome
+/// before emitting.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AutopilotReport {
     /// Candidate plans enumerated across all nests.
@@ -90,18 +89,8 @@ pub struct AutopilotReport {
 }
 
 /// Version stamped into every emitted report. Parsing accepts this version
-/// and every earlier one it knows how to upgrade (v1 reports lack the
-/// `incremental` section, v1/v2 reports lack the `scheduler` section,
-/// v1–v3 reports lack the `validation` section, v1–v5 reports lack the
-/// `serve` section, v1–v6 reports lack the `sections` section, v1–v7
-/// reports lack the `campaign` section, v1–v8 reports lack the
-/// `autopilot` section; all default to all-zero. v1–v4 reports lack the
-/// `engine` field, which defaults to `"tree"` — the only engine that
-/// existed before v5); later or unknown versions are rejected.
+/// only, and requires every section and the `engine` field.
 pub const PROFILE_SCHEMA_VERSION: u64 = 9;
-
-/// Oldest schema version [`ProfileReport::from_json`] still accepts.
-pub const PROFILE_SCHEMA_MIN_VERSION: u64 = 1;
 
 /// Wall-clock total and call count for one pipeline phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,8 +153,7 @@ impl CacheReport {
     }
 }
 
-/// Counters of the loop-granular incremental engine (schema v2). All zero
-/// in reports parsed from v1 JSON.
+/// Counters of the loop-granular incremental engine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IncrementalReport {
     /// Cached graphs that survived an edit in place because their loop,
@@ -186,13 +174,13 @@ pub struct IncrementalReport {
     /// Approximate bytes held by the delta journal (undo + redo).
     pub journal_bytes: u64,
     /// Approximate bytes the same history would cost as full program
-    /// snapshots (the pre-v2 scheme) — `journal_bytes / snapshot_bytes`
-    /// is the journal's memory saving.
+    /// snapshots — `journal_bytes / snapshot_bytes` is the journal's
+    /// memory saving.
     pub snapshot_bytes: u64,
 }
 
-/// Parallel-runtime scheduler counters (schema v3). All zero in reports
-/// parsed from v1/v2 JSON or from sessions that never ran threaded.
+/// Parallel-runtime scheduler counters. All zero in sessions that never
+/// ran threaded.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedulerReport {
     /// `PARALLEL DO` invocations dispatched to the worker pool.
@@ -220,8 +208,8 @@ impl SchedulerReport {
     }
 }
 
-/// Daemon-mode request counters (schema v6). All zero in reports parsed
-/// from pre-v6 JSON or from sessions never served by a `ped serve` daemon.
+/// Daemon-mode request counters. All zero in sessions never served by a
+/// `ped serve` daemon.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Requests handled (well-formed or not).
@@ -273,11 +261,9 @@ pub struct LoopProfileStat {
 /// The complete session profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
-    /// Report format version ([`PROFILE_SCHEMA_VERSION`]).
-    pub schema_version: u64,
     /// Which execution engine ran the session's programs: `"bytecode"`
     /// (the lowered register machine, the default) or `"tree"` (the
-    /// AST-walking oracle). Reports older than v5 parse as `"tree"`.
+    /// AST-walking oracle).
     pub engine: String,
     /// Whether instrumentation was on when the snapshot was taken.
     pub enabled: bool,
@@ -287,25 +273,22 @@ pub struct ProfileReport {
     pub dep_tests: Vec<DepTestStat>,
     /// Cache and reuse counters.
     pub cache: CacheReport,
-    /// Incremental-engine counters (all zero when parsed from v1 JSON).
+    /// Incremental-engine counters.
     pub incremental: IncrementalReport,
-    /// Parallel-runtime scheduler counters (all zero when parsed from
-    /// pre-v3 JSON).
+    /// Parallel-runtime scheduler counters.
     pub scheduler: SchedulerReport,
-    /// Shadow-runtime validation counters (all zero when parsed from
-    /// pre-v4 JSON).
+    /// Shadow-runtime validation counters.
     pub validation: ValidationSummary,
-    /// Daemon-mode request counters (all zero when parsed from pre-v6
-    /// JSON; filled by `ped serve`, zero for single-process sessions).
+    /// Daemon-mode request counters (filled by `ped serve`, zero for
+    /// single-process sessions).
     pub serve: ServeReport,
-    /// Regular-section analysis counters (all zero when parsed from
-    /// pre-v7 JSON).
+    /// Regular-section analysis counters.
     pub sections: SectionsReport,
-    /// Campaign-mode throughput counters (all zero when parsed from
-    /// pre-v8 JSON; filled by `ped --campaign`, zero otherwise).
+    /// Campaign-mode throughput counters (filled by `ped --campaign`, zero
+    /// otherwise).
     pub campaign: CampaignReport,
-    /// Autopilot planner counters (all zero when parsed from pre-v9 JSON;
-    /// filled by `ped --autopilot`, zero otherwise).
+    /// Autopilot planner counters (filled by `ped --autopilot`, zero
+    /// otherwise).
     pub autopilot: AutopilotReport,
     /// Per-unit graph-build timings.
     pub units: Vec<UnitStat>,
@@ -317,7 +300,6 @@ impl ProfileReport {
     /// An all-zero report (what a disabled session produces).
     pub fn empty() -> ProfileReport {
         ProfileReport {
-            schema_version: PROFILE_SCHEMA_VERSION,
             engine: "bytecode".to_string(),
             enabled: false,
             phases: Vec::new(),
@@ -364,7 +346,6 @@ impl ProfileReport {
             })
             .collect();
         ProfileReport {
-            schema_version: PROFILE_SCHEMA_VERSION,
             engine: "bytecode".to_string(),
             enabled: snap.enabled,
             phases,
@@ -430,7 +411,7 @@ impl ProfileReport {
     /// Serialize to the versioned JSON form.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema_version", Json::int(self.schema_version)),
+            ("schema_version", Json::int(PROFILE_SCHEMA_VERSION)),
             ("tool", Json::str("ped")),
             ("engine", Json::str(&self.engine)),
             ("enabled", Json::Bool(self.enabled)),
@@ -638,27 +619,21 @@ impl ProfileReport {
                 .ok_or_else(|| format!("missing or non-array field '{key}'"))
         };
 
+        let need_obj = |key: &str| -> Result<&Json, String> {
+            v.get(key).ok_or_else(|| format!("missing field '{key}'"))
+        };
+
         let schema_version = need_u64(v, "schema_version")?;
-        if !(PROFILE_SCHEMA_MIN_VERSION..=PROFILE_SCHEMA_VERSION).contains(&schema_version) {
+        if schema_version != PROFILE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported profile schema version {schema_version} \
-                 (expected {PROFILE_SCHEMA_MIN_VERSION}..={PROFILE_SCHEMA_VERSION})"
+                 (expected {PROFILE_SCHEMA_VERSION})"
             ));
         }
-        // v1–v4 reports predate the bytecode engine: everything they
-        // describe ran on the tree walker. From v5 on the field is
-        // required and must name a known engine.
-        let engine = match v.get("engine") {
-            None if schema_version < 5 => "tree".to_string(),
-            None => return Err("missing field 'engine'".to_string()),
-            Some(e) => {
-                let s = e.as_str().ok_or("non-string field 'engine'")?;
-                if !matches!(s, "tree" | "bytecode") {
-                    return Err(format!("unknown engine '{s}'"));
-                }
-                s.to_string()
-            }
-        };
+        let engine = need_str(v, "engine")?;
+        if !matches!(engine.as_str(), "tree" | "bytecode") {
+            return Err(format!("unknown engine '{engine}'"));
+        }
         let enabled = v
             .get("enabled")
             .and_then(Json::as_bool)
@@ -688,7 +663,7 @@ impl ProfileReport {
             });
         }
 
-        let c = v.get("cache").ok_or("missing field 'cache'")?;
+        let c = need_obj("cache")?;
         let cache = CacheReport {
             pair_hits: need_u64(c, "pair_hits")?,
             pair_misses: need_u64(c, "pair_misses")?,
@@ -696,127 +671,92 @@ impl ProfileReport {
             graphs_reused: need_u64(c, "graphs_reused")?,
         };
 
-        // v1 reports predate the incremental engine; the section defaults
-        // to all-zero. From v2 on it is required.
-        let incremental = match v.get("incremental") {
-            None if schema_version < 2 => IncrementalReport::default(),
-            None => return Err("missing field 'incremental'".to_string()),
-            Some(inc) => IncrementalReport {
-                graphs_retained: need_u64(inc, "graphs_retained")?,
-                graphs_resurrected: need_u64(inc, "graphs_resurrected")?,
-                ip_recomputes: need_u64(inc, "ip_recomputes")?,
-                ip_recomputes_skipped: need_u64(inc, "ip_recomputes_skipped")?,
-                undo_entries: need_u64(inc, "undo_entries")?,
-                redo_entries: need_u64(inc, "redo_entries")?,
-                journal_bytes: need_u64(inc, "journal_bytes")?,
-                snapshot_bytes: need_u64(inc, "snapshot_bytes")?,
-            },
+        let inc = need_obj("incremental")?;
+        let incremental = IncrementalReport {
+            graphs_retained: need_u64(inc, "graphs_retained")?,
+            graphs_resurrected: need_u64(inc, "graphs_resurrected")?,
+            ip_recomputes: need_u64(inc, "ip_recomputes")?,
+            ip_recomputes_skipped: need_u64(inc, "ip_recomputes_skipped")?,
+            undo_entries: need_u64(inc, "undo_entries")?,
+            redo_entries: need_u64(inc, "redo_entries")?,
+            journal_bytes: need_u64(inc, "journal_bytes")?,
+            snapshot_bytes: need_u64(inc, "snapshot_bytes")?,
         };
 
-        // v1/v2 reports predate the parallel-runtime scheduler; the
-        // section defaults to all-zero. From v3 on it is required. The
-        // emitted `imbalance_ratio` is derived, so it is ignored here and
-        // recomputed on demand.
-        let scheduler = match v.get("scheduler") {
-            None if schema_version < 3 => SchedulerReport::default(),
-            None => return Err("missing field 'scheduler'".to_string()),
-            Some(s) => SchedulerReport {
-                parallel_loops: need_u64(s, "parallel_loops")?,
-                chunks_executed: need_u64(s, "chunks_executed")?,
-                chunks_stolen: need_u64(s, "chunks_stolen")?,
-                worker_iterations: need_arr(s, "worker_iterations")?
-                    .iter()
-                    .map(|w| {
-                        w.as_u64()
-                            .ok_or_else(|| "non-integer entry in 'worker_iterations'".to_string())
-                    })
-                    .collect::<Result<Vec<u64>, String>>()?,
-            },
+        // The emitted `imbalance_ratio` is derived, so it is ignored here
+        // and recomputed on demand.
+        let s = need_obj("scheduler")?;
+        let scheduler = SchedulerReport {
+            parallel_loops: need_u64(s, "parallel_loops")?,
+            chunks_executed: need_u64(s, "chunks_executed")?,
+            chunks_stolen: need_u64(s, "chunks_stolen")?,
+            worker_iterations: need_arr(s, "worker_iterations")?
+                .iter()
+                .map(|w| {
+                    w.as_u64()
+                        .ok_or_else(|| "non-integer entry in 'worker_iterations'".to_string())
+                })
+                .collect::<Result<Vec<u64>, String>>()?,
         };
 
-        // v1–v3 reports predate the shadow-runtime checker; the section
-        // defaults to all-zero. From v4 on it is required.
-        let validation = match v.get("validation") {
-            None if schema_version < 4 => ValidationSummary::default(),
-            None => return Err("missing field 'validation'".to_string()),
-            Some(s) => ValidationSummary {
-                checks: need_u64(s, "checks")?,
-                loops_checked: need_u64(s, "loops_checked")?,
-                races: need_u64(s, "races")?,
-                observed_deps: need_u64(s, "observed_deps")?,
-                static_unobserved: need_u64(s, "static_unobserved")?,
-                validated_deletions: need_u64(s, "validated_deletions")?,
-            },
+        let s = need_obj("validation")?;
+        let validation = ValidationSummary {
+            checks: need_u64(s, "checks")?,
+            loops_checked: need_u64(s, "loops_checked")?,
+            races: need_u64(s, "races")?,
+            observed_deps: need_u64(s, "observed_deps")?,
+            static_unobserved: need_u64(s, "static_unobserved")?,
+            validated_deletions: need_u64(s, "validated_deletions")?,
         };
 
-        // v1–v5 reports predate the analysis daemon; the section defaults
-        // to all-zero. From v6 on it is required.
-        let serve = match v.get("serve") {
-            None if schema_version < 6 => ServeReport::default(),
-            None => return Err("missing field 'serve'".to_string()),
-            Some(s) => ServeReport {
-                requests: need_u64(s, "requests")?,
-                errors: need_u64(s, "errors")?,
-                sessions_opened: need_u64(s, "sessions_opened")?,
-                sessions_closed: need_u64(s, "sessions_closed")?,
-                warm_opens: need_u64(s, "warm_opens")?,
-                graphs_loaded: need_u64(s, "graphs_loaded")?,
-                graphs_persisted: need_u64(s, "graphs_persisted")?,
-                total_request_ns: need_u64(s, "total_request_ns")?,
-                max_request_ns: need_u64(s, "max_request_ns")?,
-            },
+        let s = need_obj("serve")?;
+        let serve = ServeReport {
+            requests: need_u64(s, "requests")?,
+            errors: need_u64(s, "errors")?,
+            sessions_opened: need_u64(s, "sessions_opened")?,
+            sessions_closed: need_u64(s, "sessions_closed")?,
+            warm_opens: need_u64(s, "warm_opens")?,
+            graphs_loaded: need_u64(s, "graphs_loaded")?,
+            graphs_persisted: need_u64(s, "graphs_persisted")?,
+            total_request_ns: need_u64(s, "total_request_ns")?,
+            max_request_ns: need_u64(s, "max_request_ns")?,
         };
 
-        // v1–v6 reports predate the regular-section analysis; the section
-        // defaults to all-zero. From v7 on it is required.
-        let sections = match v.get("sections") {
-            None if schema_version < 7 => SectionsReport::default(),
-            None => return Err("missing field 'sections'".to_string()),
-            Some(s) => SectionsReport {
-                arrays_classified: need_u64(s, "arrays_classified")?,
-                exposed_bottom: need_u64(s, "exposed_bottom")?,
-                privatizable: need_u64(s, "privatizable")?,
-            },
+        let s = need_obj("sections")?;
+        let sections = SectionsReport {
+            arrays_classified: need_u64(s, "arrays_classified")?,
+            exposed_bottom: need_u64(s, "exposed_bottom")?,
+            privatizable: need_u64(s, "privatizable")?,
         };
 
-        // v1–v7 reports predate campaign mode; the section defaults to
-        // all-zero. From v8 on it is required.
-        let campaign = match v.get("campaign") {
-            None if schema_version < 8 => CampaignReport::default(),
-            None => return Err("missing field 'campaign'".to_string()),
-            Some(s) => CampaignReport {
-                seeds: need_u64(s, "seeds")?,
-                loops_parallelized: need_u64(s, "loops_parallelized")?,
-                discrepancies: need_u64(s, "discrepancies")?,
-                reproducers: need_u64(s, "reproducers")?,
-                generate_ns: need_u64(s, "generate_ns")?,
-                analyze_ns: need_u64(s, "analyze_ns")?,
-                autopar_ns: need_u64(s, "autopar_ns")?,
-                check_ns: need_u64(s, "check_ns")?,
-                equivalence_ns: need_u64(s, "equivalence_ns")?,
-            },
+        let s = need_obj("campaign")?;
+        let campaign = CampaignReport {
+            seeds: need_u64(s, "seeds")?,
+            loops_parallelized: need_u64(s, "loops_parallelized")?,
+            discrepancies: need_u64(s, "discrepancies")?,
+            reproducers: need_u64(s, "reproducers")?,
+            generate_ns: need_u64(s, "generate_ns")?,
+            analyze_ns: need_u64(s, "analyze_ns")?,
+            autopar_ns: need_u64(s, "autopar_ns")?,
+            check_ns: need_u64(s, "check_ns")?,
+            equivalence_ns: need_u64(s, "equivalence_ns")?,
         };
 
-        // v1–v8 reports predate the autopilot planner; the section
-        // defaults to all-zero. From v9 on it is required.
-        let autopilot = match v.get("autopilot") {
-            None if schema_version < 9 => AutopilotReport::default(),
-            None => return Err("missing field 'autopilot'".to_string()),
-            Some(s) => AutopilotReport {
-                candidates: need_u64(s, "candidates")?,
-                pruned_unsafe: need_u64(s, "pruned_unsafe")?,
-                pruned_unprofitable: need_u64(s, "pruned_unprofitable")?,
-                plans_applied: need_u64(s, "plans_applied")?,
-                plans_rejected: need_u64(s, "plans_rejected")?,
-                calibration_before: s
-                    .get("calibration_before")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing or non-number field 'calibration_before'")?,
-                calibration_after: s
-                    .get("calibration_after")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing or non-number field 'calibration_after'")?,
-            },
+        let s = need_obj("autopilot")?;
+        let autopilot = AutopilotReport {
+            candidates: need_u64(s, "candidates")?,
+            pruned_unsafe: need_u64(s, "pruned_unsafe")?,
+            pruned_unprofitable: need_u64(s, "pruned_unprofitable")?,
+            plans_applied: need_u64(s, "plans_applied")?,
+            plans_rejected: need_u64(s, "plans_rejected")?,
+            calibration_before: s
+                .get("calibration_before")
+                .and_then(Json::as_f64)
+                .ok_or("missing or non-number field 'calibration_before'")?,
+            calibration_after: s
+                .get("calibration_after")
+                .and_then(Json::as_f64)
+                .ok_or("missing or non-number field 'calibration_after'")?,
         };
 
         let mut units = Vec::new();
@@ -843,7 +783,6 @@ impl ProfileReport {
         }
 
         Ok(ProfileReport {
-            schema_version,
             engine,
             enabled,
             phases,
@@ -1137,65 +1076,26 @@ mod tests {
 
     #[test]
     fn rejects_wrong_schema_version() {
-        let r = sample_report();
-        let text = r.to_json().to_string_compact().replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":999",
-            1,
-        );
-        let err = ProfileReport::from_json_str(&text).unwrap_err();
-        assert!(err.contains("schema version"), "{err}");
-    }
-
-    #[test]
-    fn accepts_v1_reports_without_incremental_or_scheduler_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        // Downgrade to v1: old version stamp, no v2/v3 sections.
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":1",
-            1,
-        );
-        strip_section(&mut v, "incremental");
-        strip_section(&mut v, "scheduler");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert_eq!(back.incremental, IncrementalReport::default());
-        assert_eq!(back.scheduler, SchedulerReport::default());
-        assert_eq!(back.cache, r.cache);
-        assert_eq!(back.dep_tests, r.dep_tests);
+        let text = sample_report().to_json().to_string_compact();
+        // Older stamps are rejected even on an otherwise complete report.
+        for version in (1..PROFILE_SCHEMA_VERSION).chain([999]) {
+            let stamped = text.replacen(
+                &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
+                &format!("\"schema_version\":{version}"),
+                1,
+            );
+            let err = ProfileReport::from_json_str(&stamped).unwrap_err();
+            assert!(err.contains("schema version"), "v{version}: {err}");
+        }
     }
 
     #[test]
     fn v2_report_requires_incremental_section() {
         let r = sample_report();
         let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":2",
-            1,
-        );
         strip_section(&mut v, "incremental");
-        strip_section(&mut v, "scheduler");
         let err = ProfileReport::from_json_str(&v).unwrap_err();
         assert!(err.contains("incremental"), "{err}");
-    }
-
-    #[test]
-    fn v2_report_accepts_missing_scheduler_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":2",
-            1,
-        );
-        strip_section(&mut v, "scheduler");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 2);
-        assert_eq!(back.scheduler, SchedulerReport::default());
-        assert_eq!(back.incremental, r.incremental);
     }
 
     #[test]
@@ -1208,60 +1108,12 @@ mod tests {
     }
 
     #[test]
-    fn v3_report_accepts_missing_validation_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":3",
-            1,
-        );
-        strip_section(&mut v, "validation");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 3);
-        assert_eq!(back.validation, ValidationSummary::default());
-        assert_eq!(back.scheduler, r.scheduler);
-    }
-
-    #[test]
     fn v4_report_requires_validation_section() {
         let r = sample_report();
         let mut v = r.to_json().to_string_compact();
         strip_section(&mut v, "validation");
         let err = ProfileReport::from_json_str(&v).unwrap_err();
         assert!(err.contains("validation"), "{err}");
-    }
-
-    #[test]
-    fn v4_report_defaults_engine_to_tree() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":4",
-            1,
-        );
-        v = v.replacen(",\"engine\":\"bytecode\"", "", 1);
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 4);
-        assert_eq!(back.engine, "tree");
-        assert_eq!(back.validation, r.validation);
-    }
-
-    #[test]
-    fn v5_report_accepts_missing_serve_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":5",
-            1,
-        );
-        strip_section(&mut v, "serve");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 5);
-        assert_eq!(back.serve, ServeReport::default());
-        assert_eq!(back.validation, r.validation);
     }
 
     #[test]
@@ -1274,22 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn v6_report_accepts_missing_sections_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":6",
-            1,
-        );
-        strip_section(&mut v, "sections");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 6);
-        assert_eq!(back.sections, SectionsReport::default());
-        assert_eq!(back.serve, r.serve);
-    }
-
-    #[test]
     fn v7_report_requires_sections_section() {
         let r = sample_report();
         let mut v = r.to_json().to_string_compact();
@@ -1299,44 +1135,12 @@ mod tests {
     }
 
     #[test]
-    fn v7_report_accepts_missing_campaign_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":7",
-            1,
-        );
-        strip_section(&mut v, "campaign");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 7);
-        assert_eq!(back.campaign, CampaignReport::default());
-        assert_eq!(back.sections, r.sections);
-    }
-
-    #[test]
     fn v8_report_requires_campaign_section() {
         let r = sample_report();
         let mut v = r.to_json().to_string_compact();
         strip_section(&mut v, "campaign");
         let err = ProfileReport::from_json_str(&v).unwrap_err();
         assert!(err.contains("campaign"), "{err}");
-    }
-
-    #[test]
-    fn v8_report_accepts_missing_autopilot_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        v = v.replacen(
-            &format!("\"schema_version\":{PROFILE_SCHEMA_VERSION}"),
-            "\"schema_version\":8",
-            1,
-        );
-        strip_section(&mut v, "autopilot");
-        let back = ProfileReport::from_json_str(&v).unwrap();
-        assert_eq!(back.schema_version, 8);
-        assert_eq!(back.autopilot, AutopilotReport::default());
-        assert_eq!(back.campaign, r.campaign);
     }
 
     #[test]

@@ -2347,7 +2347,7 @@ impl<'p> Interp<'p> {
                             sh.set_iter(k);
                         }
                         state.tick(2.0)?;
-                        state.record_var_store(&var_cell, unit_idx, d.var);
+                        state.record(&var_cell, 0, true, unit_idx, d.var);
                         var_cell.store_scalar(Value::Int(cur));
                         match self.bexec_block(unit_idx, &cl.body, frame, state, regs)? {
                             Flow::Normal => {}

@@ -35,7 +35,7 @@ pub enum ParallelMode {
 /// stride+offset fast paths, per-node cost model coalesced into one charge
 /// per straight-line region) and is the default; the **tree** walker
 /// interprets the AST directly and stays on as the differential oracle,
-/// and is the only engine for `Simulate` mode and the race detector.
+/// and is the only engine for `Simulate` mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Compile to register bytecode first (see [`crate::bytecode`]), then
@@ -77,9 +77,6 @@ impl std::fmt::Display for Engine {
 pub struct ExecConfig {
     /// Parallel-loop handling.
     pub mode: ParallelMode,
-    /// Record per-iteration access sets of parallel loops and report
-    /// cross-iteration conflicts (Simulate mode only).
-    pub detect_races: bool,
     /// How Threads mode cuts parallel loops into chunks.
     pub schedule: Schedule,
     /// Abort after this many statement executions (runaway guard). The cap
@@ -100,7 +97,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             mode: ParallelMode::Serial,
-            detect_races: false,
             schedule: Schedule::default(),
             max_steps: 500_000_000,
             shadow: false,
@@ -110,11 +106,11 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// The engine that will actually run: simulated-parallel charging and
-    /// the race detector are tree-walker instrumentation, so those modes
-    /// pin the tree engine regardless of the request.
+    /// The engine that will actually run: simulated-parallel charging is
+    /// tree-walker instrumentation, so `Simulate` mode pins the tree engine
+    /// regardless of the request.
     pub fn effective_engine(&self) -> Engine {
-        if self.detect_races || matches!(self.mode, ParallelMode::Simulate(_)) {
+        if matches!(self.mode, ParallelMode::Simulate(_)) {
             Engine::Tree
         } else {
             self.engine
@@ -163,19 +159,6 @@ pub struct LoopStats {
     pub wall_ns: u64,
 }
 
-/// A cross-iteration conflict found by the run-time dependence checker.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RaceReport {
-    /// Unit containing the loop.
-    pub unit: String,
-    /// The `PARALLEL DO` statement.
-    pub loop_stmt: StmtId,
-    /// Conflicting variable name.
-    pub var: String,
-    /// Flat element index (0 for scalars).
-    pub element: usize,
-}
-
 /// Result of running a program.
 #[derive(Debug, Clone, Default)]
 pub struct RunResult {
@@ -187,8 +170,6 @@ pub struct RunResult {
     pub steps: u64,
     /// Loop-level profile keyed by (unit name, DO statement).
     pub profile: HashMap<(String, StmtId), LoopStats>,
-    /// Conflicts found by race detection.
-    pub races: Vec<RaceReport>,
     /// Scheduler counters (all zero outside Threads mode).
     pub sched: SchedStats,
     /// Observed-dependence log (present iff [`ExecConfig::shadow`]).
@@ -206,22 +187,6 @@ pub(crate) enum Flow {
     Normal,
     Return,
     Stop,
-}
-
-/// Access window of one (cell, element): (any_write, wmin, wmax, amin, amax).
-type AccessWindow = (bool, u64, u64, u64, u64);
-
-/// Per-iteration access recording for the race detector.
-struct RaceRec {
-    excluded: std::collections::HashSet<usize>,
-    /// (cell ptr, element) → access window across iterations.
-    locs: HashMap<(usize, usize), AccessWindow>,
-    names: HashMap<usize, (usize, SymId)>,
-    /// Keeps every recorded cell alive so freed-cell addresses are never
-    /// reused for new cells (which would alias distinct per-invocation
-    /// locals and produce false conflicts).
-    keep: Vec<Arc<Cell>>,
-    iter: u64,
 }
 
 /// One `PARALLEL DO` invocation packaged for the worker pool. Fully owned
@@ -298,8 +263,6 @@ pub(crate) struct ExecState<'a> {
     /// Steps claimed from the budget but not yet spent by `tick`.
     pub(crate) granted: u64,
     pub(crate) profile: HashMap<(String, StmtId), LoopStats>,
-    races: Vec<RaceReport>,
-    rec: Option<RaceRec>,
     pub(crate) in_parallel: bool,
     /// The worker pool, when Threads mode spawned one for this run.
     pool: Option<&'a Pool<LoopJob>>,
@@ -320,8 +283,6 @@ impl<'a> ExecState<'a> {
             budget,
             granted: 0,
             profile: HashMap::new(),
-            races: Vec::new(),
-            rec: None,
             in_parallel: false,
             pool: None,
             sched: SchedStats::default(),
@@ -355,16 +316,7 @@ impl<'a> ExecState<'a> {
         self.granted = 0;
     }
 
-    /// Record the per-iteration store to a DO variable. Shadow-only: the
-    /// race detector keeps its historical exclusion of loop indexes, but
-    /// the shadow log needs the write so an enclosing parallel scope can
-    /// observe an index the parallelization failed to privatize.
-    pub(crate) fn record_var_store(&mut self, cell: &Arc<Cell>, unit_idx: usize, sym: SymId) {
-        if let Some(sh) = self.shadow.as_deref_mut() {
-            sh.record(cell, 0, true, unit_idx, sym);
-        }
-    }
-
+    /// Report one memory touch to the shadow recorder, if one is on.
     pub(crate) fn record(
         &mut self,
         cell: &Arc<Cell>,
@@ -376,29 +328,6 @@ impl<'a> ExecState<'a> {
         if let Some(sh) = self.shadow.as_deref_mut() {
             sh.record(cell, element, write, unit_idx, sym);
         }
-        let Some(rec) = self.rec.as_mut() else { return };
-        let ptr = Arc::as_ptr(cell) as usize;
-        if rec.excluded.contains(&ptr) {
-            return;
-        }
-        if let std::collections::hash_map::Entry::Vacant(e) = rec.names.entry(ptr) {
-            e.insert((unit_idx, sym));
-            rec.keep.push(cell.clone());
-        }
-        let e = rec.locs.entry((ptr, element)).or_insert((
-            false,
-            u64::MAX,
-            0,
-            rec.iter,
-            rec.iter,
-        ));
-        if write {
-            e.0 = true;
-            e.1 = e.1.min(rec.iter);
-            e.2 = e.2.max(rec.iter);
-        }
-        e.3 = e.3.min(rec.iter);
-        e.4 = e.4.max(rec.iter);
     }
 }
 
@@ -514,7 +443,6 @@ impl<'p> Interp<'p> {
                         vtime: state.vtime,
                         steps: state.steps,
                         profile: state.profile,
-                        races: state.races,
                         sched: state.sched,
                         shadow: state.shadow.take().map(|s| s.into_log()),
                     },
@@ -784,7 +712,7 @@ impl<'p> Interp<'p> {
                     err = Some(e);
                     break;
                 }
-                st.record_var_store(var_cell, job.unit_idx, job.d.var);
+                st.record(var_cell, 0, true, job.unit_idx, job.d.var);
                 var_cell.store_scalar(Value::Int(cur));
                 let flow = match cbody {
                     Some((block, _, _)) => {
@@ -1086,7 +1014,7 @@ impl<'p> Interp<'p> {
             match self.config.mode {
                 ParallelMode::Serial => self.run_serial(unit_idx, &d, &vals, frame, state)?,
                 ParallelMode::Simulate(machine) => {
-                    self.run_simulated(unit_idx, sid, &d, &vals, frame, state, machine)?
+                    self.run_simulated(unit_idx, &d, &vals, frame, state, machine)?
                 }
                 ParallelMode::Threads(_) => {
                     self.run_threads(unit_idx, &d, &vals, frame, state, None)?
@@ -1125,7 +1053,7 @@ impl<'p> Interp<'p> {
                 sh.set_iter(k as u64);
             }
             state.tick(2.0)?;
-            state.record_var_store(&var_cell, unit_idx, d.var);
+            state.record(&var_cell, 0, true, unit_idx, d.var);
             var_cell.store_scalar(Value::Int(v));
             match self.exec_block(unit_idx, &d.body, frame, state)? {
                 Flow::Normal => {}
@@ -1135,11 +1063,9 @@ impl<'p> Interp<'p> {
         Ok(Flow::Normal)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_simulated(
         &self,
         unit_idx: usize,
-        sid: StmtId,
         d: &ped_fortran::DoLoop,
         vals: &[i64],
         frame: &Frame,
@@ -1148,45 +1074,17 @@ impl<'p> Interp<'p> {
     ) -> Result<Flow, RtError> {
         let unit = &self.program.units[unit_idx];
         let var_cell = self.cell(unit, frame, d.var)?.clone();
-        // Exclusion set: cells the parallel semantics privatize.
-        let prev_rec = state.rec.take();
-        if self.config.detect_races {
-            let mut excluded = std::collections::HashSet::new();
-            excluded.insert(Arc::as_ptr(&var_cell) as usize);
-            if let Some(info) = &d.parallel {
-                for &s in info
-                    .private
-                    .iter()
-                    .chain(info.lastprivate.iter())
-                    .chain(info.reductions.iter().map(|(_, s)| s))
-                {
-                    if let Some(c) = frame.get(s) {
-                        excluded.insert(Arc::as_ptr(c) as usize);
-                    }
-                }
-            }
-            state.rec = Some(RaceRec {
-                excluded,
-                locs: HashMap::new(),
-                names: HashMap::new(),
-                keep: Vec::new(),
-                iter: 0,
-            });
-        }
         let vt0 = state.vtime;
         let mut iter_costs = Vec::with_capacity(vals.len());
         let mut flow = Flow::Normal;
         state.in_parallel = true;
         for (k, &v) in vals.iter().enumerate() {
-            if let Some(rec) = state.rec.as_mut() {
-                rec.iter = k as u64;
-            }
             if let Some(sh) = state.shadow.as_deref_mut() {
                 sh.set_iter(k as u64);
             }
             let t0 = state.vtime;
             state.tick(2.0)?;
-            state.record_var_store(&var_cell, unit_idx, d.var);
+            state.record(&var_cell, 0, true, unit_idx, d.var);
             var_cell.store_scalar(Value::Int(v));
             match self.exec_block(unit_idx, &d.body, frame, state) {
                 Ok(Flow::Normal) => {}
@@ -1197,36 +1095,12 @@ impl<'p> Interp<'p> {
                 }
                 Err(e) => {
                     state.in_parallel = false;
-                    state.rec = prev_rec;
                     return Err(e);
                 }
             }
             iter_costs.push(state.vtime - t0);
         }
         state.in_parallel = false;
-        // Harvest races.
-        if let Some(rec) = state.rec.take() {
-            for (&(ptr, element), &(any_write, wmin, wmax, amin, amax)) in &rec.locs {
-                if any_write && (amin < wmax || wmin < amax) {
-                    let var = rec
-                        .names
-                        .get(&ptr)
-                        .map(|&(ui, s)| {
-                            self.program.units[ui].symbols.name(s).to_string()
-                        })
-                        .unwrap_or_else(|| "?".to_string());
-                    state.races.push(RaceReport {
-                        unit: unit.name.clone(),
-                        loop_stmt: sid,
-                        var,
-                        element,
-                    });
-                }
-            }
-            state.races.sort_by_key(|r| (r.var.clone(), r.element));
-            state.races.dedup();
-        }
-        state.rec = prev_rec;
         // Replace the serial charge with the machine schedule.
         state.vtime = vt0 + machine.parallel_charge(&iter_costs);
         Ok(flow)
@@ -1941,6 +1815,7 @@ pub fn run_source_with_memory(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shadow::ObsKind;
 
     fn run(src: &str) -> RunResult {
         run_source(src, ExecConfig::default()).expect("run failed")
@@ -2225,40 +2100,47 @@ mod tests {
         assert!(speedup > 4.0, "speedup was {speedup}");
     }
 
+    /// Carried (variable, kind) dependences other than read-read that the
+    /// shadow log observed when running `src` under `mode`.
+    fn observed_races(src: &str, mode: ParallelMode) -> Vec<(String, ObsKind)> {
+        let config = ExecConfig { mode, shadow: true, ..ExecConfig::default() };
+        let r = run_source(src, config).unwrap();
+        r.shadow
+            .expect("shadow on")
+            .loops
+            .into_values()
+            .flat_map(|l| l.carried.into_keys())
+            .filter(|(_, k)| *k != ObsKind::Input)
+            .collect()
+    }
+
+    fn race_modes() -> [ParallelMode; 3] {
+        [
+            ParallelMode::Serial,
+            ParallelMode::Simulate(Machine::alliant8()),
+            ParallelMode::Threads(2),
+        ]
+    }
+
     #[test]
     fn race_detector_flags_bad_parallelization() {
         // A genuine recurrence wrongly marked parallel.
         let src = "program t\nreal a(100)\na(1) = 1.0\nparallel do i = 2, 100\n\
                    a(i) = a(i-1) + 1.0\nenddo\nprint *, a(100)\nend\n";
-        let sim = run_source(
-            src,
-            ExecConfig {
-                mode: ParallelMode::Simulate(Machine::alliant8()),
-                detect_races: true,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(!sim.races.is_empty(), "race must be detected");
-        assert_eq!(sim.races[0].var, "a");
+        for mode in race_modes() {
+            let races = observed_races(src, mode);
+            assert!(races.contains(&("a".to_string(), ObsKind::True)), "{mode:?}: {races:?}");
+        }
     }
 
     #[test]
     fn race_detector_clean_on_good_parallelization() {
-        let src = "program t\nreal a(100), b(100)\nparallel do i = 1, 100 private(t1)\n\
-                   t1 = i * 1.0\na(i) = t1\nenddo\nprint *, a(5)\nend\n";
-        let _ = src;
-        let sim = run_source(
-            "program t\nreal a(100)\nparallel do i = 1, 100 private(t1)\nt1 = i * 1.0\n\
-             a(i) = t1\nenddo\nprint *, a(5)\nend\n",
-            ExecConfig {
-                mode: ParallelMode::Simulate(Machine::alliant8()),
-                detect_races: true,
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(sim.races.is_empty(), "{:?}", sim.races);
+        let src = "program t\nreal a(100)\nparallel do i = 1, 100 private(t1)\nt1 = i * 1.0\n\
+                   a(i) = t1\nenddo\nprint *, a(5)\nend\n";
+        for mode in race_modes() {
+            let races = observed_races(src, mode);
+            assert!(races.is_empty(), "{mode:?}: {races:?}");
+        }
     }
 
     #[test]

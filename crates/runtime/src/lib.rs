@@ -20,12 +20,12 @@
 //!   serial execution, with private/reduction/lastprivate semantics. All
 //!   storage cells are relaxed atomics, so concurrent element access is
 //!   data-race-free by construction; *correctness* of a parallelization is
-//!   still the analysis' job, which is why the
-//!   [`racedetect`](interp::ExecConfig::detect_races) mode exists: it
-//!   re-runs a parallel loop sequentially while recording per-iteration
-//!   access sets and reports genuine cross-iteration conflicts — the
-//!   "run-time dependence testing" the paper's related work points to, and
-//!   the safety net for user-deleted dependences.
+//!   still the analysis' job, which is why [`shadow`](interp::ExecConfig::shadow)
+//!   logging exists: in every mode and on both engines it records each
+//!   loop's observed cross-iteration dependences, which the session's
+//!   check cross-examines for races — the "run-time dependence testing"
+//!   the paper's related work points to, and the safety net for
+//!   user-deleted dependences.
 
 pub mod bytecode;
 pub mod interp;

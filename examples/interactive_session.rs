@@ -43,16 +43,14 @@ fn main() {
 
     println!("=== parallelize and validate ===");
     ped.apply(0, scatter, &Xform::Parallelize).unwrap();
-    let checked = ped
-        .run(ExecConfig {
-            mode: ParallelMode::Simulate(Machine::alliant8()),
-            detect_races: true,
-            ..Default::default()
-        })
-        .unwrap();
-    println!("run-time dependence check: {} conflicts", checked.races.len());
-    assert!(checked.races.is_empty());
-    println!("output: {:?}\n", checked.printed);
+    let config = ExecConfig {
+        mode: ParallelMode::Simulate(Machine::alliant8()),
+        ..Default::default()
+    };
+    let checked = ped.check(config).unwrap();
+    print!("{}", checked.render_text());
+    assert!(checked.clean());
+    println!("output: {:?}\n", ped.run(config).unwrap().printed);
 
     println!("=== undo ===");
     assert!(ped.undo());

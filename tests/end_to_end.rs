@@ -88,19 +88,22 @@ fn onedim_assertion_validated_by_race_detector() {
     ped.assert_fact(Assertion::Permutation { unit: 0, array: ind }).unwrap();
     assert!(ped.parallelizable(0, scatter).unwrap());
     ped.apply(0, scatter, &ped_transform::Xform::Parallelize).unwrap();
-    let run = ped
-        .run(ExecConfig {
+    let report = ped
+        .check(ExecConfig {
             mode: ParallelMode::Simulate(Machine::alliant8()),
-            detect_races: true,
             ..Default::default()
         })
         .unwrap();
-    assert!(run.races.is_empty(), "the assertion was truthful: {:?}", run.races);
+    assert!(
+        report.clean(),
+        "the assertion was truthful:\n{}",
+        report.render_text()
+    );
 }
 
 /// A *false* assertion is caught by run-time dependence testing: mark the
-/// recurrence's deps rejected by hand (lying), parallelize, and the race
-/// detector reports the conflict.
+/// recurrence's deps rejected by hand (lying), parallelize, and the shadow
+/// check reports the conflict in serial and threaded runs alike.
 #[test]
 fn false_assertion_caught_by_race_detector() {
     let src = "program lie\nreal a(100)\ninteger ind(100)\ndo i = 1, 100\nind(i) = 1 + mod(i, 3)\n\
@@ -112,15 +115,20 @@ fn false_assertion_caught_by_race_detector() {
     ped.assert_fact(Assertion::Permutation { unit: 0, array: ind }).unwrap();
     assert!(ped.parallelizable(0, scatter).unwrap());
     ped.apply(0, scatter, &ped_transform::Xform::Parallelize).unwrap();
-    let run = ped
-        .run(ExecConfig {
-            mode: ParallelMode::Simulate(Machine::alliant8()),
-            detect_races: true,
-            ..Default::default()
-        })
-        .unwrap();
-    assert!(!run.races.is_empty(), "the lie must be caught");
-    assert!(run.races.iter().any(|r| r.var == "a"));
+    for mode in [ParallelMode::Serial, ParallelMode::Threads(2)] {
+        let report = ped
+            .check(ExecConfig {
+                mode,
+                ..Default::default()
+            })
+            .unwrap();
+        assert!(!report.clean(), "the lie must be caught under {mode:?}");
+        assert!(
+            report.races().any(|r| r.var == "a"),
+            "{}",
+            report.render_text()
+        );
+    }
 }
 
 /// The arc3d claims: the symbolic-offset recurrence is *proven* (strong

@@ -184,7 +184,7 @@ fn printer_fixpoint_on_generated() {
 }
 
 /// Analysis-approved parallelization never changes program output
-/// (simulated mode: deterministic, race-checked).
+/// (simulated mode: deterministic) and passes the shadow race check.
 #[test]
 fn parallelization_preserves_semantics() {
     for seed in 0u64..24 {
@@ -202,12 +202,16 @@ fn parallelization_preserves_semantics() {
         let sim = ped
             .run(ped_runtime::ExecConfig {
                 mode: ped_runtime::ParallelMode::Simulate(ped_runtime::Machine::alliant8()),
-                detect_races: true,
                 ..Default::default()
             })
             .unwrap();
         assert_eq!(serial.printed, sim.printed, "seed {seed}");
-        assert!(sim.races.is_empty(), "seed {seed} races: {:?}", sim.races);
+        let report = ped.check(ped_runtime::ExecConfig::default()).unwrap();
+        assert!(
+            report.clean(),
+            "seed {seed} races:\n{}",
+            report.render_text()
+        );
     }
 }
 

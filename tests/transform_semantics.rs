@@ -183,14 +183,8 @@ fn chained_transformations_preserve_output() {
     let after = ped.run(ExecConfig::default()).unwrap();
     assert_eq!(before.printed, after.printed, "{}", ped.source());
     // And the parallel piece is race-free.
-    let sim = ped
-        .run(ExecConfig {
-            mode: ped_runtime::ParallelMode::Simulate(ped_runtime::Machine::alliant8()),
-            detect_races: true,
-            ..Default::default()
-        })
-        .unwrap();
-    assert!(sim.races.is_empty());
+    let report = ped.check(ExecConfig::default()).unwrap();
+    assert!(report.clean(), "{}", report.render_text());
 }
 
 /// Applying an unsafe transformation (allowed: user prerogative) really

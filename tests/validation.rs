@@ -14,7 +14,7 @@
 
 use ped_bench::{apply_suite_assertions, parallelize_everything};
 use ped_core::{Ped, RaceVerdict, ValidationReport};
-use ped_runtime::{ExecConfig, ObsKind, ParallelMode};
+use ped_runtime::{ExecConfig, Machine, ObsKind, ParallelMode};
 use ped_workloads::generator::{gen_source, GenConfig};
 use ped_workloads::{all_programs, racy};
 
@@ -240,20 +240,29 @@ fn observed_deps_are_covered_by_static_analysis_under_serial() {
     }
 }
 
-/// Property: the shadow log is bit-identical between serial execution and
-/// the worker pool at 2 and 4 threads, for every parallelized suite
-/// program — observation must not depend on the execution mode.
+/// Property: the shadow log is bit-identical between serial execution,
+/// the worker pool at 2 and 4 threads, and the 4-processor simulator, for
+/// every parallelized suite program — observation must not depend on the
+/// execution mode.
 #[test]
 fn shadow_log_agrees_between_serial_and_threads_across_suite() {
+    let modes = [
+        ParallelMode::Threads(2),
+        ParallelMode::Threads(4),
+        ParallelMode::Simulate(Machine::with_procs(4)),
+    ];
     for w in all_programs() {
         let ped = parallelized(w.name, w.source);
         let cfg = ExecConfig { shadow: true, ..ExecConfig::default() };
         let serial = ped.run(cfg).unwrap().shadow.expect("shadow on");
         assert!(!serial.loops.is_empty(), "{}", w.name);
-        for n in [2, 4] {
-            let threaded = ExecConfig { mode: ParallelMode::Threads(n), ..cfg };
-            let log = ped.run(threaded).unwrap().shadow.expect("shadow on");
-            assert_eq!(serial, log, "{} diverges at {n} threads", w.name);
+        for mode in modes {
+            let log = ped
+                .run(ExecConfig { mode, ..cfg })
+                .unwrap()
+                .shadow
+                .expect("shadow on");
+            assert_eq!(serial, log, "{} diverges under {mode:?}", w.name);
         }
     }
 }
