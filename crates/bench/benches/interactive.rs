@@ -16,14 +16,20 @@
 //! machinery actually engaged: graphs served from cache, at least one
 //! whole-program interprocedural recompute skipped, and undo/redo cheaper
 //! than the original apply path.
+//!
+//! A second section times `autoparallelize` on generated programs of 5,
+//! 10, 20 and 40 concatenated copies (~1k to ~8k lines). Every converted
+//! loop is one `apply`, so autopar time per converted loop is the cost of
+//! one edit: it must stay flat as the program grows.
 
 use ped_bench::harness::bench;
 use ped_core::equiv::assert_matches_fresh;
 use ped_core::{IncrementalReport, Ped};
 use ped_obs::json::Json;
 use ped_transform::Xform;
-use ped_workloads::generator::{gen_source, GenConfig};
+use ped_workloads::generator::{gen_concat_source, gen_source, GenConfig};
 use std::hint::black_box;
+use std::time::Instant;
 
 fn graphs_of_unit(ped: &mut Ped, ui: usize) -> usize {
     let mut n = 0;
@@ -125,6 +131,51 @@ fn session_loop(name: &str, src: &str) -> Json {
     ])
 }
 
+/// Autopar time per converted loop at each program size: the median of
+/// three timed runs after one warm-up, each on a fresh session whose
+/// graphs `analyze_all` has already built (only autopar is timed).
+fn autopar_scaling() -> (Json, f64) {
+    println!("-- autopar per converted loop vs program size");
+    let mut rows = Vec::new();
+    let mut per_loop = Vec::new();
+    for copies in [5usize, 10, 20, 40] {
+        let src = gen_concat_source(GenConfig::default(), copies);
+        let lines = src.lines().count();
+        let mut converted = 0;
+        let mut ns: Vec<u128> = (0..4)
+            .map(|_| {
+                let mut ped = Ped::open(&src).unwrap();
+                ped.analyze_all();
+                let t0 = Instant::now();
+                converted = ped_core::autoparallelize(&mut ped);
+                t0.elapsed().as_nanos()
+            })
+            .skip(1)
+            .collect();
+        ns.sort_unstable();
+        let median = ns[ns.len() / 2];
+        let ms_per_loop = median as f64 / 1e6 / converted.max(1) as f64;
+        let ms = median as f64 / 1e6;
+        println!(
+            "   {copies:>2} copies {lines:>5} lines {converted:>4} loops  \
+             autopar {ms:>9.1} ms  {ms_per_loop:.3} ms/loop"
+        );
+        per_loop.push(ms_per_loop);
+        rows.push(Json::obj(vec![
+            ("copies", Json::int(copies as u64)),
+            ("lines", Json::int(lines as u64)),
+            ("loops_converted", Json::int(converted as u64)),
+            ("autopar_median_ns", Json::int(median as u64)),
+            ("autopar_ms_per_loop", Json::Num(ms_per_loop)),
+        ]));
+    }
+    // 40 copies against 10: 1.0 is perfectly flat; whole-program work per
+    // edit would make it about 4.
+    let ratio = per_loop[3] / per_loop[1];
+    println!("   per-loop cost, 40 vs 10 copies: {ratio:.2}x");
+    (Json::Arr(rows), ratio)
+}
+
 fn main() {
     println!("E13: interactive edit/transform/undo loop");
     let mut rows: Vec<Json> = Vec::new();
@@ -161,6 +212,11 @@ fn main() {
     );
     assert!(totals.journal_bytes < totals.snapshot_bytes, "journal not cheaper: {totals:?}");
 
+    let (scaling, ratio) = autopar_scaling();
+    // Loose enough for a noisy host, tight enough to catch per-edit work
+    // that grows with the program again.
+    assert!(ratio < 2.0, "autopar per converted loop grew {ratio:.2}x from 10 to 40 copies");
+
     let doc = Json::obj(vec![
         ("bench", Json::str("E13")),
         ("schema_version", Json::int(1)),
@@ -171,6 +227,8 @@ fn main() {
         ("journal_bytes", Json::int(totals.journal_bytes)),
         ("snapshot_bytes", Json::int(totals.snapshot_bytes)),
         ("rows", Json::Arr(rows)),
+        ("autopar_scaling", scaling),
+        ("autopar_per_loop_ratio_40_vs_10", Json::Num(ratio)),
     ]);
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/BENCH_E13.json");

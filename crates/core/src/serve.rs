@@ -614,10 +614,14 @@ mod tests {
       end\n";
 
     fn open(d: &Daemon, owner: u64) -> u64 {
+        open_source(d, owner, SRC)
+    }
+
+    fn open_source(d: &Daemon, owner: u64, src: &str) -> u64 {
         let req = Json::obj(vec![
             ("id", Json::int(1)),
             ("verb", Json::str("open")),
-            ("source", Json::str(SRC)),
+            ("source", Json::str(src)),
         ])
         .to_string_compact();
         let resp = d.handle_line(owner, &req);
@@ -657,6 +661,22 @@ mod tests {
         ));
         assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
         assert!(bad.get("error").and_then(|e| e.get("code")).is_some());
+        let ok = reply(format!("{{\"id\":3,\"verb\":\"analyze\",\"session\":{s}}}"));
+        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
+        assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));
+    }
+
+    /// A store to an undeclared array cannot run: `check` is refused with
+    /// a typed error, and the daemon and the session keep answering.
+    #[test]
+    fn undeclared_array_check_is_an_error_and_the_session_survives() {
+        let d = Daemon::new(None);
+        let s = open_source(&d, STDIO_OWNER, "program t\ndo i = 1, 10\na(i) = 1.0\nenddo\nend\n");
+        let reply = |line: String| json::parse(&d.handle_line(STDIO_OWNER, &line).text).unwrap();
+        let bad = reply(format!("{{\"id\":2,\"verb\":\"check\",\"session\":{s}}}"));
+        assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
+        let message = bad.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+        assert!(message.is_some_and(|m| m.contains("`a` is subscripted")), "{message:?}");
         let ok = reply(format!("{{\"id\":3,\"verb\":\"analyze\",\"session\":{s}}}"));
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));

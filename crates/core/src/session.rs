@@ -10,7 +10,7 @@ use ped_interproc::{EditProbe, IpAnalysis, IpFlags};
 use ped_obs::{CacheReport, IncrementalReport, LoopSample, Obs, Phase, PhaseTimer, ProfileReport};
 use ped_runtime::Machine;
 use ped_transform::{Applied, Diagnosis, Xform};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -120,20 +120,24 @@ struct GraphEntry {
 /// the whole `Program` plus the whole mark map. `bytes` approximates the
 /// journaled payload; `snapshot_bytes` what the old full-snapshot scheme
 /// would have stored, so the observability layer can report the saving.
+/// `unit_bytes` is the unit's own printed size, so restoring the delta
+/// needs no reprint to keep the session's size table current.
 struct Delta {
     unit_idx: usize,
     unit: ProgramUnit,
+    unit_bytes: u64,
     marks: Vec<(DepKey, Mark)>,
     bytes: u64,
     snapshot_bytes: u64,
 }
 
-/// Pre-edit capture for incremental invalidation: the per-unit visible
-/// fingerprints and the edited unit's interprocedural contribution probe.
-/// Both must be taken *before* the program mutates.
+/// Pre-edit capture for incremental invalidation: the edited unit's
+/// interprocedural contribution probe and its own interface fingerprint
+/// ([`IpAnalysis::unit_fingerprint`]). Both must be taken *before* the
+/// program mutates.
 struct PreEdit {
-    fps: Option<Vec<u64>>,
-    probe: Option<EditProbe>,
+    probe: EditProbe,
+    unit_fp: u64,
 }
 
 /// Retired graphs kept for resurrection (undo/redo round trips). Bounded:
@@ -150,7 +154,12 @@ pub struct Ped {
     /// `ip` is `None`); kept in lockstep so edit paths and resurrection
     /// checks don't rehash every unit per query.
     vis_fps: Vec<u64>,
-    graphs: HashMap<(usize, StmtId), GraphEntry>,
+    /// Ordered by unit, so an edit can visit one unit's entries by range.
+    graphs: BTreeMap<(usize, StmtId), GraphEntry>,
+    /// Printed size of each unit for journal accounting ([`unit_bytes`]),
+    /// filled on the first edit; `None` marks a unit edited since. Keeps
+    /// an edit's `snapshot_bytes` from reprinting the whole program.
+    unit_sizes: Vec<Option<u64>>,
     /// Evicted graphs, newest last. A cache miss whose fingerprints match a
     /// retired entry resurrects it instead of rebuilding — this is what
     /// makes undo of an analyzed transform near-free.
@@ -249,7 +258,8 @@ impl Ped {
             include_input_deps: false,
             ip: None,
             vis_fps: Vec::new(),
-            graphs: HashMap::new(),
+            graphs: BTreeMap::new(),
+            unit_sizes: Vec::new(),
             retired: VecDeque::new(),
             marks: HashMap::new(),
             assertions: Vec::new(),
@@ -285,6 +295,7 @@ impl Ped {
         self.ip = None;
         self.vis_fps.clear();
         self.graphs.clear();
+        self.unit_sizes.clear();
         self.retired.clear();
         self.marks.clear();
         self.assertions.clear();
@@ -394,17 +405,13 @@ impl Ped {
     }
 
     /// Capture everything incremental invalidation needs *before* the
-    /// program mutates: the per-unit visible fingerprints and the edited
-    /// unit's interprocedural contribution probe. `None` fields when no
-    /// interprocedural results exist — then no graph is cached either.
-    fn pre_edit(&self, unit_idx: usize) -> PreEdit {
-        match &self.ip {
-            Some(ip) => PreEdit {
-                fps: Some(self.vis_fps.clone()),
-                probe: Some(ip.edit_probe(&self.program, unit_idx)),
-            },
-            None => PreEdit { fps: None, probe: None },
-        }
+    /// program mutates. `None` when no interprocedural results exist —
+    /// then no graph is cached either.
+    fn pre_edit(&self, unit_idx: usize) -> Option<PreEdit> {
+        self.ip.as_ref().map(|ip| PreEdit {
+            probe: ip.edit_probe(&self.program, unit_idx),
+            unit_fp: ip.unit_fingerprint(&self.program, unit_idx),
+        })
     }
 
     /// Move a cache entry to the bounded retired store.
@@ -423,14 +430,23 @@ impl Ped {
     /// analysis is patched in place and the whole-program recompute is
     /// skipped; otherwise it reruns eagerly.
     ///
-    /// Graphs second: a cached graph survives when its unit's visible
+    /// Visible fingerprints second. On the fast path every summary, every
+    /// constant seed and every call edge is kept, so the edited unit's own
+    /// [`IpAnalysis::unit_fingerprint`] is the only input to any unit's
+    /// visible fingerprint that can move: when it is unchanged too, the old
+    /// fingerprints are kept without rehashing the program.
+    ///
+    /// Graphs last: a cached graph survives when its unit's visible
     /// interprocedural fingerprint is unchanged AND — for the edited unit —
     /// the nest's structural fingerprint and unit-context fingerprint both
-    /// still match, i.e. the transform touched a *different* nest. Everything
-    /// else is retired (not dropped) so an undo can resurrect it.
-    fn invalidate_unit(&mut self, unit_idx: usize, pre: PreEdit) {
-        let fast = match (self.ip.as_mut(), pre.probe.as_ref()) {
-            (Some(ip), Some(probe)) => ip.try_update_unit(&self.program, probe),
+    /// still match, i.e. the transform touched a *different* nest. Only the
+    /// edited unit's entries and those of units whose visible fingerprint
+    /// moved are examined; everything else stays in place and counts as
+    /// retained. Dropped entries are retired (not freed) so an undo can
+    /// resurrect them.
+    fn invalidate_unit(&mut self, unit_idx: usize, pre: Option<PreEdit>) {
+        let fast = match (self.ip.as_mut(), pre.as_ref()) {
+            (Some(ip), Some(pre)) => ip.try_update_unit(&self.program, &pre.probe),
             _ => false,
         };
         if fast {
@@ -440,43 +456,55 @@ impl Ped {
             self.ip_recomputes_total += 1;
         }
         let ip = self.ip.as_ref().expect("set above");
-        let new_fps = ip.visible_fingerprints(&self.program);
-        let edited_fps: Option<HashMap<StmtId, (u64, u64)>> = match &pre.fps {
-            Some(old) if old.len() == new_fps.len() && old[unit_idx] == new_fps[unit_idx] => {
-                Some(unit_loop_fingerprints(
+        let fps_kept = match &pre {
+            Some(p) if fast => ip.unit_fingerprint(&self.program, unit_idx) == p.unit_fp,
+            _ => false,
+        };
+        // Units whose entries must be examined, ascending, and whether the
+        // edited unit's visible fingerprint held (its entries may survive).
+        let (examine, edited_visible_kept): (Vec<usize>, bool) = if fps_kept {
+            (vec![unit_idx], true)
+        } else {
+            let new_fps = ip.visible_fingerprints(&self.program);
+            let old = std::mem::replace(&mut self.vis_fps, new_fps);
+            if pre.is_some() && old.len() == self.vis_fps.len() {
+                let changed = (0..old.len())
+                    .filter(|&u| u == unit_idx || old[u] != self.vis_fps[u])
+                    .collect();
+                (changed, old[unit_idx] == self.vis_fps[unit_idx])
+            } else {
+                ((0..self.program.units.len()).collect(), false)
+            }
+        };
+        for u in examine {
+            let keys: Vec<StmtId> = self
+                .graphs
+                .range((u, StmtId(0))..=(u, StmtId(u32::MAX)))
+                .map(|(&(_, h), _)| h)
+                .collect();
+            let loop_fps = (u == unit_idx && edited_visible_kept && !keys.is_empty()).then(|| {
+                unit_loop_fingerprints(
                     &self.program,
-                    ip,
-                    unit_idx,
+                    self.ip.as_ref().expect("set above"),
+                    u,
                     self.flags,
                     self.include_input_deps,
                     &self.assertions,
-                ))
-            }
-            _ => None,
-        };
-        let entries: Vec<((usize, StmtId), GraphEntry)> = self.graphs.drain().collect();
-        for ((ui, h), e) in entries {
-            let keep = match &pre.fps {
-                Some(old) if old.len() == new_fps.len() => {
-                    if ui != unit_idx {
-                        old[ui] == new_fps[ui]
-                    } else {
-                        edited_fps
-                            .as_ref()
-                            .and_then(|m| m.get(&h))
-                            .is_some_and(|&(lfp, cfp)| e.loop_fp == lfp && e.ctx_fp == cfp)
-                    }
+                )
+            });
+            for h in keys {
+                let e = &self.graphs[&(u, h)];
+                let keep = loop_fps
+                    .as_ref()
+                    .and_then(|m| m.get(&h))
+                    .is_some_and(|&(lfp, cfp)| e.loop_fp == lfp && e.ctx_fp == cfp);
+                if !keep {
+                    let e = self.graphs.remove(&(u, h)).expect("key listed above");
+                    self.retire((u, h), e);
                 }
-                _ => false,
-            };
-            if keep {
-                self.graphs_retained_total += 1;
-                self.graphs.insert((ui, h), e);
-            } else {
-                self.retire((ui, h), e);
             }
         }
-        self.vis_fps = new_fps;
+        self.graphs_retained_total += self.graphs.len() as u64;
     }
 
     fn ip(&mut self) -> &IpAnalysis {
@@ -870,9 +898,7 @@ impl Ped {
                 // Retire rather than drop: the context fingerprint covers
                 // the asserted unit's values, so loops of *other* units
                 // resurrect on their next request instead of rebuilding.
-                let entries: Vec<((usize, StmtId), GraphEntry)> =
-                    self.graphs.drain().collect();
-                for (k, e) in entries {
+                for (k, e) in std::mem::take(&mut self.graphs) {
                     self.retire(k, e);
                 }
             }
@@ -1001,6 +1027,7 @@ impl Ped {
         };
         match result {
             Ok(applied) => {
+                self.unit_sizes[unit_idx] = None;
                 self.undo.push(saved);
                 // Only a *successful* transform invalidates redo history; an
                 // inapplicable one must leave the user's redo stack intact.
@@ -1068,9 +1095,16 @@ impl Ped {
     }
 
     /// Journal delta capturing the current state of one unit and the marks
-    /// that refer to it.
-    fn delta_of(&self, unit_idx: usize) -> Delta {
-        let unit = self.program.units[unit_idx].clone();
+    /// that refer to it. Every caller goes on to edit `unit_idx`, which
+    /// must then refresh its [`Self::unit_sizes`] entry.
+    fn delta_of(&mut self, unit_idx: usize) -> Delta {
+        let units = &self.program.units;
+        self.unit_sizes.resize(units.len(), None);
+        for (size, unit) in self.unit_sizes.iter_mut().zip(units) {
+            size.get_or_insert_with(|| unit_bytes(unit));
+        }
+        let unit = units[unit_idx].clone();
+        let unit_bytes = self.unit_sizes[unit_idx].expect("filled above");
         let marks: Vec<(DepKey, Mark)> = self
             .marks
             .iter()
@@ -1078,15 +1112,17 @@ impl Ped {
             .map(|(k, m)| (k.clone(), *m))
             .collect();
         let mark_cost = std::mem::size_of::<(DepKey, Mark)>() as u64;
-        let bytes = unit_bytes(&unit) + marks.len() as u64 * mark_cost;
-        let snapshot_bytes = self.program.units.iter().map(unit_bytes).sum::<u64>()
-            + self.marks.len() as u64 * mark_cost;
-        Delta { unit_idx, unit, marks, bytes, snapshot_bytes }
+        let bytes = unit_bytes + marks.len() as u64 * mark_cost;
+        let snapshot_bytes =
+            self.unit_sizes.iter().map(|s| s.expect("filled above")).sum::<u64>()
+                + self.marks.len() as u64 * mark_cost;
+        Delta { unit_idx, unit, unit_bytes, marks, bytes, snapshot_bytes }
     }
 
     /// Swap a journal delta into the session (unit and its marks).
     fn restore_delta(&mut self, d: Delta) {
         self.program.units[d.unit_idx] = d.unit;
+        self.unit_sizes[d.unit_idx] = Some(d.unit_bytes);
         self.marks.retain(|k, _| k.unit != d.unit_idx);
         self.marks.extend(d.marks);
     }
@@ -1109,6 +1145,7 @@ impl Ped {
         let pre = self.pre_edit(unit_idx);
         let saved = self.delta_of(unit_idx);
         self.program.units[unit_idx] = new_unit;
+        self.unit_sizes[unit_idx] = None;
         self.undo.push(saved);
         self.redo.clear();
         self.invalidate_unit(unit_idx, pre);
@@ -1723,6 +1760,181 @@ mod tests {
         assert_eq!(again.reused, expected.len());
         assert_eq!(again.threads, 0);
         assert_eq!(again.deps, report.deps);
+    }
+
+    /// Every `Xform` the catalog has, aimed at loop `h` of unit `ui`:
+    /// symbol- and statement-parameterized variants pick the loop's first
+    /// assigned scalar, first assigned array, first two body statements,
+    /// the next loop at the same depth, and every call in the unit.
+    fn catalog_for(ped: &Ped, ui: usize, h: StmtId) -> Vec<Xform> {
+        use ped_fortran::{LValue, StmtKind};
+        let unit = &ped.program().units[ui];
+        let body = &unit.loop_of(h).body;
+        let mut out = vec![
+            Xform::Parallelize,
+            Xform::Interchange,
+            Xform::Distribute,
+            Xform::Reverse,
+            Xform::Skew { factor: 1 },
+            Xform::StripMine { size: 4 },
+            Xform::Unroll { factor: 2 },
+            Xform::UnrollAndJam { factor: 2 },
+        ];
+        let loops = ped.loops(ui);
+        let at = loops.iter().position(|&(l, _)| l == h).expect("h is a loop of ui");
+        if let Some(&(next, _)) = loops[at + 1..].iter().find(|&&(_, d)| d == loops[at].1) {
+            out.push(Xform::Fuse { with: next });
+        }
+        if let [a, b, ..] = body[..] {
+            out.push(Xform::StatementInterchange { a, b });
+        }
+        let stmts = stmts_recursive(unit, body);
+        let assigned = |want_array: bool| {
+            stmts.iter().find_map(|&s| match &unit.stmt(s).kind {
+                StmtKind::Assign { lhs: LValue::Var(v), .. } if !want_array => Some(*v),
+                StmtKind::Assign { lhs: LValue::ArrayElem(v, _), .. } if want_array => Some(*v),
+                _ => None,
+            })
+        };
+        if let Some(var) = assigned(false) {
+            out.push(Xform::ScalarExpand { var });
+            out.push(Xform::IvSub { var });
+        }
+        if let Some(var) = assigned(true) {
+            out.push(Xform::ArrayPrivatize { var });
+        }
+        for s in stmts_recursive(unit, &unit.body) {
+            if matches!(unit.stmt(s).kind, StmtKind::Call { .. }) {
+                out.push(Xform::Inline { call: s });
+            }
+        }
+        out
+    }
+
+    /// What `snapshot_bytes` must be for a delta taken right now: the
+    /// whole program printed, plus every mark.
+    fn whole_snapshot_bytes(ped: &Ped) -> u64 {
+        let mark_cost = std::mem::size_of::<(DepKey, Mark)>() as u64;
+        ped.program.units.iter().map(unit_bytes).sum::<u64>() + ped.marks.len() as u64 * mark_cost
+    }
+
+    /// The visible fingerprints the session kept must be what a full
+    /// rehash of its analysis produces — and, with `fresh`, what a fresh
+    /// whole-program analysis produces.
+    fn assert_fingerprints(ped: &Ped, fresh: bool, label: &str) {
+        let ip = ped.ip.as_ref().expect("edits keep an analysis");
+        assert_eq!(ped.vis_fps, ip.visible_fingerprints(&ped.program), "{label}: rehash");
+        if fresh {
+            let ip = IpAnalysis::analyze(&ped.program);
+            assert_eq!(ped.vis_fps, ip.visible_fingerprints(&ped.program), "{label}: fresh");
+        }
+    }
+
+    /// The journal entry an edit just pushed carries the whole-program
+    /// size from before the edit and its own unit's printed size.
+    fn assert_delta(d: Option<&Delta>, snapshot: u64, label: &str) {
+        let d = d.unwrap_or_else(|| panic!("{label}: no journal entry"));
+        assert_eq!(d.snapshot_bytes, snapshot, "{label}: snapshot_bytes");
+        assert_eq!(d.unit_bytes, unit_bytes(&d.unit), "{label}: unit_bytes");
+    }
+
+    /// Apply, undo, redo, and undo back, checking the bookkeeping after
+    /// each step. Returns whether the apply succeeded.
+    fn round_trip(ped: &mut Ped, ui: usize, h: StmtId, xf: &Xform, label: &str) -> bool {
+        let snap = whole_snapshot_bytes(ped);
+        let depth = ped.undo.len();
+        if ped.apply(ui, h, xf).is_err() {
+            assert_eq!(ped.undo.len(), depth, "{label}: failed apply journaled");
+            return false;
+        }
+        assert_delta(ped.undo.last(), snap, &format!("{label} apply"));
+        assert_fingerprints(ped, true, &format!("{label} apply"));
+        for step in ["undo", "redo", "undo back"] {
+            let snap = whole_snapshot_bytes(ped);
+            let redoing = step == "redo";
+            assert!(if redoing { ped.redo() } else { ped.undo() }, "{label} {step}");
+            let pushed = if redoing { ped.undo.last() } else { ped.redo.last() };
+            assert_delta(pushed, snap, &format!("{label} {step}"));
+            assert_fingerprints(ped, false, &format!("{label} {step}"));
+        }
+        true
+    }
+
+    /// The per-edit bookkeeping reuses fingerprints and cached unit sizes
+    /// instead of recomputing them over the whole program; after every
+    /// apply, undo, redo and `edit_unit` it must equal the full recompute.
+    #[test]
+    fn edit_bookkeeping_equals_full_recompute() {
+        use ped_workloads::generator::{gen_source, GenConfig};
+        let mut programs: Vec<(String, String)> = ped_workloads::suite::all_programs()
+            .iter()
+            .map(|w| (w.name.to_string(), w.source.to_string()))
+            .collect();
+        for seed in [2u64, 13] {
+            let cfg =
+                GenConfig { units: 3, loops_per_unit: 3, stmts_per_loop: 3, extent: 64, seed };
+            programs.push((format!("gen seed {seed}"), gen_source(cfg)));
+        }
+        for (name, src) in programs {
+            let mut ped = Ped::open(&src).unwrap();
+            ped.analyze_all();
+            let mut applied = 0usize;
+            for ui in 0..ped.program().units.len() {
+                let headers: Vec<StmtId> = ped.loops(ui).into_iter().map(|(h, _)| h).collect();
+                for h in headers {
+                    for xf in catalog_for(&ped, ui, h) {
+                        let label = format!("{name} unit {ui} loop {h} {}", xf.name());
+                        applied += round_trip(&mut ped, ui, h, &xf, &label) as usize;
+                    }
+                }
+            }
+            assert!(applied > 0, "{name}: no transformation applied");
+            // Source edits: the unit's own text (summary kept), then one
+            // with an added external call (summary and callers' move).
+            for ui in 0..ped.program().units.len() {
+                let unit_name = ped.program().units[ui].name.clone();
+                let mut text = String::new();
+                ped_fortran::printer::print_unit(&ped.program().units[ui], &mut text);
+                let at = text.rfind("end").expect("printed unit ends with END");
+                let mut probed = text.clone();
+                probed.insert_str(at, "call xprobe\n");
+                for (kind, new_src) in [("same text", &text), ("external call", &probed)] {
+                    let label = format!("{name} edit {unit_name} ({kind})");
+                    let snap = whole_snapshot_bytes(&ped);
+                    ped.edit_unit(&unit_name, new_src).unwrap();
+                    assert_delta(ped.undo.last(), snap, &label);
+                    assert_fingerprints(&ped, true, &label);
+                    let snap = whole_snapshot_bytes(&ped);
+                    assert!(ped.undo());
+                    assert_delta(ped.redo.last(), snap, &format!("{label} undo"));
+                    assert_fingerprints(&ped, false, &format!("{label} undo"));
+                }
+            }
+        }
+    }
+
+    /// A fast-path edit can still move what callers see: a PARAMETER in a
+    /// callee's section expression leaves the summary equal but changes
+    /// its translation into caller terms, so the callee's
+    /// `unit_fingerprint` moves and every fingerprint is recomputed.
+    #[test]
+    fn fast_path_edit_of_a_translated_parameter_refreshes_fingerprints() {
+        let src = |k: i64| {
+            format!(
+                "program t\nreal x(10)\ndo i = 1, 10\ncall f(x, 1.0)\nenddo\nend\n\
+                 subroutine f(a, y)\ninteger k\nparameter (k = {k})\nreal a(10), y\n\
+                 if (y .gt. 0.0) then\na(k) = 1.0\nendif\nend\n"
+            )
+        };
+        let mut ped = Ped::open(&src(3)).unwrap();
+        ped.analyze_all();
+        let before = ped.incremental_stats();
+        let caller_fp = ped.vis_fps[0];
+        ped.edit_unit("f", &src(4)).unwrap();
+        let after = ped.incremental_stats();
+        assert_eq!(after.ip_recomputes, before.ip_recomputes, "summary kept: fast path");
+        assert_ne!(ped.vis_fps[0], caller_fp, "the caller sees a(4), not a(3)");
+        assert_fingerprints(&ped, true, "k = 4");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ped_fortran::visit::{for_each_expr_of_stmt, for_each_stmt};
 use ped_fortran::{Expr, Program, StmtId, StmtKind};
 
 /// One call site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallSite {
     /// Index of the calling unit in `program.units`.
     pub caller: usize,
@@ -28,7 +28,7 @@ pub struct CallSite {
 }
 
 /// The program call graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CallGraph {
     /// All call sites.
     pub sites: Vec<CallSite>,
@@ -40,7 +40,7 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// An empty graph over `n` units.
-    pub(crate) fn empty(n: usize) -> CallGraph {
+    fn empty(n: usize) -> CallGraph {
         CallGraph {
             sites: Vec::new(),
             sites_of_unit: vec![Vec::new(); n],
@@ -60,7 +60,7 @@ impl CallGraph {
     }
 
     /// Append a site, maintaining the per-unit and per-callee indexes.
-    pub(crate) fn push_site(&mut self, site: CallSite) {
+    fn push_site(&mut self, site: CallSite) {
         let idx = self.sites.len();
         let caller = site.caller;
         let callee = site.callee;

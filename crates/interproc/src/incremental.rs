@@ -87,42 +87,51 @@ impl IpAnalysis {
     /// whole-program fixpoint. Returns `true` when the analysis was patched
     /// in place (call sites re-keyed to post-edit statement ids, summaries
     /// and constant seeds kept); `false` means the edit changed the unit's
-    /// visible contribution and the caller must run a full `analyze`.
+    /// visible contribution, the analysis is exactly as it was, and the
+    /// caller must run a full `analyze`.
+    ///
+    /// Work is bounded by the edited unit: only its own sites are rescanned
+    /// and swapped into their existing slots, so every other unit's sites,
+    /// `sites_of_unit` and `callers_of` are untouched. The slot layout then
+    /// equals what [`CallGraph::build`] produces on the post-edit program,
+    /// because the site count and every site's caller and callee match.
     pub fn try_update_unit(&mut self, program: &Program, probe: &EditProbe) -> bool {
         let ui = probe.unit_idx;
         if program.units.len() != self.summaries.len() || ui >= self.summaries.len() {
             return false;
         }
-        let new_sites = scan_unit_sites(program, ui);
+        let mut new_sites = scan_unit_sites(program, ui);
+        let slots = self.cg.sites_of_unit[ui].clone();
+        if new_sites.len() != slots.len()
+            || slots.iter().zip(&new_sites).any(|(&si, n)| {
+                let o = &self.cg.sites[si];
+                o.caller != n.caller || o.callee != n.callee
+            })
+        {
+            return false;
+        }
         let new_refs: Vec<&CallSite> = new_sites.iter().collect();
-        let old_refs: Vec<&CallSite> =
-            self.cg.sites_of_unit[ui].iter().map(|&i| &self.cg.sites[i]).collect();
+        let old_refs: Vec<&CallSite> = slots.iter().map(|&i| &self.cg.sites[i]).collect();
         if sites_sig(&old_refs) != sites_sig(&new_refs) {
             return false;
         }
         if jump_sig(program, ui, &new_refs, &self.const_seeds[ui]) != probe.jump_sig {
             return false;
         }
-        // Re-key the graph to post-edit statement ids before re-summarizing
-        // (the flow-sensitive USE/KILL walk looks sites up by id), keeping
-        // `build`'s per-caller grouping so downstream orderings are stable.
-        let mut cg = CallGraph::empty(program.units.len());
-        for caller in 0..program.units.len() {
-            if caller == ui {
-                for site in &new_sites {
-                    cg.push_site(site.clone());
-                }
-            } else {
-                for &si in &self.cg.sites_of_unit[caller] {
-                    cg.push_site(self.cg.sites[si].clone());
-                }
+        // Re-key to post-edit statement ids before re-summarizing (the
+        // flow-sensitive USE/KILL walk looks sites up by id). A swap both
+        // ways leaves `new_sites` holding the old sites for the rollback.
+        let swap = |cg: &mut CallGraph, sites: &mut [CallSite]| {
+            for (&si, site) in slots.iter().zip(sites.iter_mut()) {
+                std::mem::swap(&mut cg.sites[si], site);
             }
-        }
-        let new_sum = summarize_unit(program, &cg, ui, &self.summaries);
+        };
+        swap(&mut self.cg, &mut new_sites);
+        let new_sum = summarize_unit(program, &self.cg, ui, &self.summaries);
         if new_sum != self.summaries[ui] {
+            swap(&mut self.cg, &mut new_sites);
             return false;
         }
-        self.cg = cg;
         self.summaries[ui] = new_sum;
         true
     }
@@ -177,6 +186,54 @@ mod tests {
         )
         .unwrap();
         assert!(!ip.try_update_unit(&p1, &probe));
+    }
+
+    /// Three units; `g` (unit 1) sits between a caller and a callee, so
+    /// re-keying its sites in place has neighbours on both sides.
+    fn chain(g_prefix: &str) -> String {
+        format!(
+            "program t\nreal x(10)\ncall g(x)\nend\n\
+             subroutine g(b)\nreal b(10)\n{g_prefix}call f(b, 10)\ncall f(b, 5)\nend\n\
+             subroutine f(a, n)\ninteger n, i\nreal a(n)\ns = 0.0\n\
+             do i = 1, n\ns = s + a(i)\nenddo\nend\n"
+        )
+    }
+
+    #[test]
+    fn rejected_update_leaves_the_analysis_as_it_was() {
+        let p0 = parse_program(&chain("")).unwrap();
+        let mut ip = IpAnalysis::analyze(&p0);
+        let probe = ip.edit_probe(&p0, 1);
+        let (cg, summaries) = (ip.cg.clone(), ip.summaries.clone());
+        // Same calls and constants, so the summary check is what fails —
+        // after the sites were re-keyed. The new store moves the calls to
+        // new statement ids, so a missed rollback would show.
+        let p1 = parse_program(&chain("b(1) = 0.0\n")).unwrap();
+        let rescanned = scan_unit_sites(&p1, 1);
+        assert_eq!(rescanned.len(), 2);
+        let old_stmts = cg.sites_of_unit[1].iter().map(|&i| cg.sites[i].stmt);
+        assert!(rescanned.iter().zip(old_stmts).all(|(n, old)| n.stmt != old));
+        assert!(!ip.try_update_unit(&p1, &probe), "g now writes b");
+        assert_eq!(ip.cg.sites, cg.sites);
+        assert_eq!(ip.cg.sites_of_unit, cg.sites_of_unit);
+        assert_eq!(ip.cg.callers_of, cg.callers_of);
+        assert_eq!(ip.summaries, summaries);
+    }
+
+    #[test]
+    fn absorbed_update_leaves_the_call_graph_a_fresh_build() {
+        let p0 = parse_program(&chain("")).unwrap();
+        let mut ip = IpAnalysis::analyze(&p0);
+        let probe = ip.edit_probe(&p0, 1);
+        // A local temporary: summary-preserving, but the calls move.
+        let p1 = parse_program(&chain("t1 = 1.0\n")).unwrap();
+        assert!(ip.try_update_unit(&p1, &probe));
+        let built = CallGraph::build(&p1);
+        assert_ne!(ip.cg.sites[1].stmt, CallGraph::build(&p0).sites[1].stmt);
+        assert_eq!(ip.cg.sites, built.sites);
+        assert_eq!(ip.cg.sites_of_unit, built.sites_of_unit);
+        assert_eq!(ip.cg.callers_of, built.callers_of);
+        assert_eq!(ip.summaries, IpAnalysis::analyze(&p1).summaries);
     }
 
     #[test]

@@ -342,9 +342,13 @@ pub struct Interp<'p> {
 }
 
 impl<'p> Interp<'p> {
-    /// Build an interpreter; allocates COMMON storage and, for the
-    /// bytecode engine, lowers every unit to register code.
+    /// Build an interpreter; rejects subscripted references to non-array
+    /// symbols, allocates COMMON storage and, for the bytecode engine,
+    /// lowers every unit to register code.
     pub fn new(program: &'p Program, config: ExecConfig) -> Result<Interp<'p>, RtError> {
+        for unit in &program.units {
+            check_subscripted_arrays(unit)?;
+        }
         let mut commons: HashMap<String, Vec<Arc<Cell>>> = HashMap::new();
         for unit in &program.units {
             for blk in &unit.commons {
@@ -1739,6 +1743,36 @@ pub(crate) fn alloc_array(
         )));
     }
     Ok(Cell::array(ty, dims))
+}
+
+/// Every subscripted name must be a declared array. The parser reads an
+/// undeclared `a(i) = …` as an element store to the scalar `a` (there is
+/// no storage to index), so this is checked before either engine runs.
+fn check_subscripted_arrays(unit: &ProgramUnit) -> Result<(), RtError> {
+    let mut bad: Option<SymId> = None;
+    ped_fortran::visit::for_each_stmt(unit, &unit.body, &mut |sid| {
+        let kind = &unit.stmt(sid).kind;
+        if let StmtKind::Assign { lhs: LValue::ArrayElem(sym, _), .. } = kind {
+            if !unit.symbols.sym(*sym).is_array() {
+                bad = bad.or(Some(*sym));
+            }
+        }
+        ped_fortran::visit::for_each_expr_of_stmt(kind, &mut |e| {
+            if let Expr::ArrayRef { sym, .. } = e {
+                if !unit.symbols.sym(*sym).is_array() {
+                    bad = bad.or(Some(*sym));
+                }
+            }
+        });
+    });
+    match bad {
+        None => Ok(()),
+        Some(sym) => Err(RtError::new(format!(
+            "{}: `{}` is subscripted but not declared as an array",
+            unit.name,
+            unit.symbols.sym(sym).name
+        ))),
+    }
 }
 
 /// Evaluate constant array dims for COMMON allocation (literals/PARAMETERs).

@@ -234,6 +234,20 @@ fn integer_division_faults_are_named_errors_in_both_engines() {
     assert_same_error("MIN / -1", overflow, "integer division overflow");
 }
 
+/// A subscripted store to a name never declared as an array is refused
+/// when the program loads, naming the symbol, so neither engine indexes
+/// the scalar's cell.
+#[test]
+fn undeclared_array_store_is_named_error_in_both_engines() {
+    let src = "program t\n\
+        do i = 1, 10\n\
+        a(i) = 1.0\n\
+        enddo\n\
+        end\n";
+    let want = "t: `a` is subscripted but not declared as an array";
+    assert_same_error("undeclared array", src, want);
+}
+
 /// MOD/ABS/SIGN/negation on `i64::MIN` wrap deterministically (identical
 /// values from both engines) instead of panicking in debug builds.
 #[test]
