@@ -47,19 +47,6 @@ fn graphs_of_all(ped: &mut Ped) -> usize {
     total
 }
 
-fn incremental_json(inc: &IncrementalReport) -> Json {
-    Json::obj(vec![
-        ("graphs_retained", Json::int(inc.graphs_retained)),
-        ("graphs_resurrected", Json::int(inc.graphs_resurrected)),
-        ("ip_recomputes", Json::int(inc.ip_recomputes)),
-        ("ip_recomputes_skipped", Json::int(inc.ip_recomputes_skipped)),
-        ("undo_entries", Json::int(inc.undo_entries)),
-        ("redo_entries", Json::int(inc.redo_entries)),
-        ("journal_bytes", Json::int(inc.journal_bytes)),
-        ("snapshot_bytes", Json::int(inc.snapshot_bytes)),
-    ])
-}
-
 /// Drive one program through the interactive loop; returns its JSON row.
 fn session_loop(name: &str, src: &str) -> Json {
     let lines = src.lines().count();
@@ -127,7 +114,7 @@ fn session_loop(name: &str, src: &str) -> Json {
         ("full_reanalysis_median_ns", Json::int(scratch_stats.median_ns() as u64)),
         ("graphs_built", Json::int(cache.graphs_built)),
         ("graphs_reused", Json::int(cache.graphs_reused)),
-        ("incremental", incremental_json(&inc)),
+        ("incremental", inc.to_json()),
     ])
 }
 

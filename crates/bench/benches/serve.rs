@@ -14,7 +14,7 @@
 //!
 //! Every response is asserted `ok`; a daemon that answered any scripted
 //! request with an error fails the bench. Results go to
-//! `target/BENCH_E16.json`, including a v6 profile report (with the
+//! `target/BENCH_E16.json`, including a profile report (with the
 //! `serve` section filled from live daemon counters) for the CI schema
 //! smoke.
 
@@ -169,7 +169,7 @@ fn main() {
     let mut last_session = 0u64;
     for c in 0..CLIENTS {
         let owner = c as u64 + 1;
-        // `profile: true` so the warm phase emits a live v6 report below.
+        // `profile: true` so the warm phase emits a live report below.
         let (v, ns) = request(
             &daemon,
             owner,
@@ -197,7 +197,7 @@ fn main() {
     let warm_stats = daemon.stats();
     assert_eq!(warm_stats.warm_opens, CLIENTS as u64);
 
-    // A v6 profile report with the serve section filled from the live
+    // A profile report with the serve section filled from the live
     // daemon (the CI schema smoke validates this sub-document).
     let (v, _) = request(
         &daemon,

@@ -333,7 +333,7 @@ fn main() {
     println!("budget: aborted at {} step(s) under a {budget_cap}-step cap", budget_err.steps);
 
     // A profiled Threads(2) session, so the emitted report carries live
-    // scheduler counters (schema v3) for the CI smoke check.
+    // scheduler counters for the CI smoke check.
     let mut ped = Ped::open_profiled(&dotred_src()).unwrap();
     ped.analyze_all();
     ped.run(ExecConfig { mode: ParallelMode::Threads(2), ..ExecConfig::default() })

@@ -15,7 +15,7 @@
 //! analysis must close slab2d's workspace gap: its loop-carried edge on
 //! `w` is killed statically (and the loop privatizes), so slab2d reports
 //! zero unobserved static edges. Results land in `target/BENCH_E15.json`
-//! (profile schema v7, with the validation and sections blocks).
+//! (with a profile report carrying the validation and sections blocks).
 
 use ped_bench::harness::{bench, fmt_ns};
 use ped_bench::{apply_suite_assertions, parallelize_everything};
@@ -153,7 +153,7 @@ fn main() {
     assert_eq!(profile.validation.checks, 1);
     assert!(
         profile.sections.arrays_classified > 0,
-        "graph builds must feed the v7 sections block"
+        "graph builds must feed the sections block"
     );
     println!(
         "sections: {} arrays classified, {} fully killed, {} privatizable",

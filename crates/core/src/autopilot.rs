@@ -18,7 +18,7 @@
 //! as the search found them. Applied plans sit on the ordinary undo stack
 //! like any user transformation.
 
-use crate::campaign::unspecified_privates;
+use crate::equiv::unspecified_privates;
 use crate::session::Ped;
 use ped_fortran::visit::for_each_stmt;
 use ped_fortran::{ProgramUnit, StmtId, SymId};
@@ -91,21 +91,6 @@ pub struct NestPlan {
     pub strategy: &'static str,
 }
 
-/// Search counters (the schema-v9 `autopilot` profile block).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SearchStats {
-    /// Applicable candidate plans enumerated.
-    pub candidates: u64,
-    /// Candidates the dependence machinery rejected as unsafe.
-    pub pruned_unsafe: u64,
-    /// Safe candidates scoring below the profitability floor.
-    pub pruned_unprofitable: u64,
-    /// Winning plans applied and kept.
-    pub plans_applied: u64,
-    /// Winning plans rolled back after failing execution verification.
-    pub plans_rejected: u64,
-}
-
 /// One nest's final disposition after the apply/verify loop.
 #[derive(Debug, Clone)]
 pub struct PlanOutcome {
@@ -124,8 +109,9 @@ pub struct PlanOutcome {
 pub struct AutopilotOutcome {
     /// Per-nest winners with their dispositions.
     pub plans: Vec<PlanOutcome>,
-    /// Search counters.
-    pub stats: SearchStats,
+    /// Search counters (the calibration ratios are left to
+    /// [`AutopilotOutcome::report`]).
+    pub stats: AutopilotReport,
     /// Predicted-vs-measured samples (empty unless measurement ran).
     pub calibration: CalibrationState,
     /// Non-fatal notes (e.g. the reference run failed so verification was
@@ -134,16 +120,13 @@ pub struct AutopilotOutcome {
 }
 
 impl AutopilotOutcome {
-    /// The schema-v9 profile block.
+    /// The `autopilot` profile block: the search counters plus the
+    /// calibration ratios.
     pub fn report(&self) -> AutopilotReport {
         AutopilotReport {
-            candidates: self.stats.candidates,
-            pruned_unsafe: self.stats.pruned_unsafe,
-            pruned_unprofitable: self.stats.pruned_unprofitable,
-            plans_applied: self.stats.plans_applied,
-            plans_rejected: self.stats.plans_rejected,
             calibration_before: self.calibration.ratio_before(),
             calibration_after: self.calibration.ratio_after(),
+            ..self.stats.clone()
         }
     }
 
@@ -189,8 +172,8 @@ pub struct Suggestions {
     /// Rows, grouped by unit and ranked by estimated serial cost within
     /// each unit.
     pub nests: Vec<NestSuggestion>,
-    /// Search counters for the footer.
-    pub stats: SearchStats,
+    /// Search counters for the footer (calibration ratios unused).
+    pub stats: AutopilotReport,
 }
 
 /// Why a candidate died during trial application.
@@ -453,7 +436,7 @@ fn search_nest(
     ui: usize,
     header: StmtId,
     cfg: &AutopilotConfig,
-    stats: &mut SearchStats,
+    stats: &mut AutopilotReport,
 ) -> (Option<NestPlan>, String) {
     let baseline_serial = {
         let mut est = Estimator::new(ped.program(), cfg.machine);

@@ -45,11 +45,11 @@
 //! prints the profile report with the `campaign` section filled.
 
 use ped_core::{
-    autoparallelize, autopilot, render, render_suggest, suggest, Assertion, AutopilotConfig,
-    CampaignConfig, DepFilter, Mark, Ped, ProfileReport, SourceFilter, PROFILE_SCHEMA_VERSION,
+    autoparallelize, autopilot, parse_xform, render, render_suggest, suggest, Assertion,
+    AutopilotConfig, CampaignConfig, DepFilter, Mark, Ped, ProfileReport, SourceFilter,
+    PROFILE_SCHEMA_VERSION,
 };
 use ped_runtime::{Engine, ExecConfig, Machine, ParallelMode, Schedule};
-use ped_transform::Xform;
 use std::io::{BufRead, Write};
 
 const USAGE: &str = "usage: ped [--batch] [--profile] [--autopar|--autopilot] [--check] [--threads <N>] [--schedule <spec>] [--engine <bytecode|tree>] <file.f>\n\
@@ -567,8 +567,9 @@ mark <stmt> <dep-id> reject|accept
 assert <var> = <int>          value assertion in the current unit
 assert perm <array>           permutation assertion (deletes its pending deps)
 diagnose <stmt> <xform>       advice for: parallelize interchange distribute
-                              reverse stripmine:<n> unroll:<n> skew:<n>
-                              expand:<scalar> ivsub:<scalar> privatize:<array>
+                              reverse stripmine:<n> unroll:<n> unrolljam:<n>
+                              skew:<n> expand:<scalar> ivsub:<scalar>
+                              privatize:<array>
 apply <stmt> <xform>          apply a transformation
 suggest                       autopilot advisory: ranked transform plan per
                               nest with predicted speedup and safety verdict
@@ -663,7 +664,7 @@ quit"
         }
         ["diagnose", s, xf] | ["apply", s, xf] => {
             let h = parse_stmt(s)?;
-            let xform = parse_xform(ped, *cur_unit, xf)?;
+            let xform = parse_xform(&ped.program().units[*cur_unit], xf)?;
             if words[0] == "diagnose" {
                 let d = ped.diagnose(*cur_unit, h, &xform).map_err(|e| e.to_string())?;
                 println!("applicable: {:?}", d.applicable);
@@ -798,43 +799,4 @@ quit"
         }
         other => Err(format!("unknown command {:?} (try `help`)", other[0])),
     }
-}
-
-fn parse_xform(ped: &Ped, unit: usize, word: &str) -> Result<Xform, String> {
-    let (name, arg) = match word.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (word, None),
-    };
-    let int_arg = || -> Result<i64, String> {
-        arg.and_then(|a| a.parse().ok()).ok_or_else(|| format!("{name} needs :<n>"))
-    };
-    Ok(match name {
-        "parallelize" => Xform::Parallelize,
-        "interchange" => Xform::Interchange,
-        "distribute" => Xform::Distribute,
-        "reverse" => Xform::Reverse,
-        "stripmine" => Xform::StripMine { size: int_arg()? },
-        "unroll" => Xform::Unroll { factor: int_arg()? as u32 },
-        "unrolljam" => Xform::UnrollAndJam { factor: int_arg()? as u32 },
-        "skew" => Xform::Skew { factor: int_arg()? },
-        "expand" => {
-            let var = arg
-                .and_then(|a| ped.program().units[unit].symbols.lookup(a))
-                .ok_or("expand:<scalar>")?;
-            Xform::ScalarExpand { var }
-        }
-        "ivsub" => {
-            let var = arg
-                .and_then(|a| ped.program().units[unit].symbols.lookup(a))
-                .ok_or("ivsub:<scalar>")?;
-            Xform::IvSub { var }
-        }
-        "privatize" => {
-            let var = arg
-                .and_then(|a| ped.program().units[unit].symbols.lookup(a))
-                .ok_or("privatize:<array>")?;
-            Xform::ArrayPrivatize { var }
-        }
-        other => return Err(format!("unknown transformation {other}")),
-    })
 }

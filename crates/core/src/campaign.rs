@@ -21,6 +21,7 @@
 //! (optionally) written to disk for regression harvesting.
 
 use crate::autopar::autoparallelize;
+use crate::equiv::unspecified_privates;
 use crate::session::Ped;
 use ped_dep::{CacheStats, PairCache};
 use ped_fortran::Program;
@@ -151,7 +152,7 @@ impl CampaignOutcome {
         out
     }
 
-    /// The schema-v8 `campaign` profile block this run describes.
+    /// The `campaign` profile block this run describes.
     pub fn campaign_report(&self) -> CampaignReport {
         CampaignReport {
             seeds: self.seeds as u64,
@@ -620,28 +621,6 @@ fn diff_runs(
         ));
     }
     Ok(())
-}
-
-/// Scalars of the main unit that are `private` (but not `lastprivate`) in
-/// some parallel loop: their post-loop value is unspecified by the
-/// dialect, so the memory comparison excludes them.
-pub(crate) fn unspecified_privates(program: &Program) -> Vec<String> {
-    let Some(main) = program.main() else { return Vec::new() };
-    let mut names = Vec::new();
-    for stmt in &main.stmts {
-        if let ped_fortran::StmtKind::Do(d) = &stmt.kind {
-            if let Some(info) = &d.parallel {
-                for &p in &info.private {
-                    if !info.lastprivate.contains(&p) {
-                        names.push(main.symbols.name(p).to_string());
-                    }
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
 }
 
 fn panic_text(panic: Box<dyn std::any::Any + Send>) -> String {

@@ -30,7 +30,7 @@
 use crate::session::{DepKey, DepStatus, Ped, PedError};
 use ped_dep::{DepCause, DepKind, Dependence};
 use ped_fortran::StmtId;
-use ped_obs::ValidationSample;
+use ped_obs::ValidationSummary;
 use ped_runtime::{ExecConfig, ObsKind, ShadowLog};
 use std::collections::HashSet;
 
@@ -229,7 +229,7 @@ fn kind_matches(obs: ObsKind, dep: DepKind) -> bool {
 
 impl Ped {
     /// Run the program once with the shadow logger on and cross-check every
-    /// executed loop against its static graph. Folds a [`ValidationSample`]
+    /// executed loop against its static graph. Folds a [`ValidationSummary`]
     /// into the session's profile (the report's `validation` section) when
     /// profiling is enabled.
     pub fn check(&mut self, config: ExecConfig) -> Result<ValidationReport, PedError> {
@@ -255,7 +255,7 @@ impl Ped {
             .take()
             .ok_or_else(|| PedError("shadow log missing from instrumented run".into()))?;
         let report = self.validate_log(&log)?;
-        self.obs().record_validation(&ValidationSample {
+        self.obs().record_validation(&ValidationSummary {
             checks: 1,
             loops_checked: report.loops.len() as u64,
             races: report.race_count() as u64,

@@ -11,13 +11,17 @@
 //! produce identical canonical forms — that equality is the acceptance
 //! criterion for every fingerprint-scoped retention, resurrection, and
 //! interprocedural fast-path decision the incremental engine makes.
+//!
+//! The execution-equivalence oracles (campaign, autopilot, the engine and
+//! property tests) compare final memory instead; [`unspecified_privates`]
+//! names the variables such a comparison must skip.
 
 use crate::session::Ped;
 use ped_analysis::scalars::ScalarClass;
 use ped_dep::DepGraph;
 use ped_fortran::printer::{print_expr, print_stmt};
 use ped_fortran::visit::stmts_recursive;
-use ped_fortran::{ProgramUnit, StmtId};
+use ped_fortran::{Program, ProgramUnit, StmtId, StmtKind};
 use std::collections::{BTreeMap, HashMap};
 
 /// One loop's graph in canonical form: sorted dependence lines followed by
@@ -110,6 +114,31 @@ pub fn assert_matches_fresh(ped: &mut Ped, label: &str) {
         incremental, fresh_graphs,
         "incremental graphs diverged from fresh-from-source graphs after {label}"
     );
+}
+
+/// Scalars of the main unit that are `private` (but not `lastprivate`) in
+/// some parallel loop. Their post-loop value is unspecified by the dialect
+/// — serial leaves the last iteration's value, a worker pool leaves some
+/// worker's — so memory comparisons across execution modes exclude them.
+/// Everything else (arrays, reductions, lastprivates, loop variables) must
+/// match bitwise.
+pub fn unspecified_privates(program: &Program) -> Vec<String> {
+    let Some(main) = program.main() else { return Vec::new() };
+    let mut names = Vec::new();
+    for stmt in &main.stmts {
+        if let StmtKind::Do(d) = &stmt.kind {
+            if let Some(info) = &d.parallel {
+                for &p in &info.private {
+                    if !info.lastprivate.contains(&p) {
+                        names.push(main.symbols.name(p).to_string());
+                    }
+                }
+            }
+        }
+    }
+    names.sort();
+    names.dedup();
+    names
 }
 
 #[cfg(test)]

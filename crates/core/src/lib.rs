@@ -27,7 +27,7 @@ pub mod store;
 pub use autopar::autoparallelize;
 pub use autopilot::{
     autopilot, render_suggest, suggest, AutopilotConfig, AutopilotOutcome, NestPlan,
-    NestSuggestion, PlanOutcome, PlanStep, SearchStats, Suggestions,
+    NestSuggestion, PlanOutcome, PlanStep, Suggestions,
 };
 pub use campaign::{classify, run_campaign, CampaignConfig, CampaignOutcome, Discrepancy};
 pub use check::{LoopValidation, RaceFinding, RaceVerdict, ValidationReport};
@@ -35,6 +35,6 @@ pub use filters::{DepFilter, SourceFilter};
 pub use ped_obs::{IncrementalReport, ProfileReport, PROFILE_SCHEMA_VERSION};
 pub use serve::{Daemon, ServeStats};
 pub use session::{
-    build_unit_graph, Assertion, BatchReport, DepKey, DepStatus, Mark, Ped, PedError,
+    build_unit_graph, parse_xform, Assertion, BatchReport, DepKey, DepStatus, Mark, Ped, PedError,
 };
 pub use store::{GraphStore, StoredGraph};

@@ -35,14 +35,13 @@
 //! (or clean disconnect) closes — and persists — that connection's
 //! sessions only; every other session keeps serving.
 
-use crate::session::Ped;
+use crate::session::{parse_xform, Ped};
 use crate::store::GraphStore;
 use ped_dep::PairCache;
 use ped_fortran::StmtId;
 use ped_obs::json::{self, Json};
 use ped_obs::ServeReport;
 use ped_runtime::{ExecConfig, ParallelMode};
-use ped_transform::Xform;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -51,7 +50,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Live daemon counters; snapshot with [`Daemon::stats`] into the profile
-/// report's v6 `serve` section.
+/// report's `serve` section.
 #[derive(Debug, Default)]
 pub struct ServeStats {
     requests: AtomicU64,
@@ -143,7 +142,7 @@ impl Daemon {
     }
 
     /// Snapshot the request/session/store counters (the profile report's
-    /// v6 `serve` section).
+    /// `serve` section).
     pub fn stats(&self) -> ServeReport {
         self.stats.snapshot()
     }
@@ -255,7 +254,8 @@ impl Daemon {
                 let target = StmtId(need_u64(v, "target")? as u32);
                 let spec = need_str(v, "xform")?;
                 let unit_idx = unit_index(ped, unit)?;
-                let xform = parse_xform(ped, unit_idx, spec)?;
+                let xform = parse_xform(&ped.program().units[unit_idx], spec)
+                    .map_err(|m| ReqError::new("bad_xform", m))?;
                 let a = ped
                     .apply(unit_idx, target, &xform)
                     .map_err(|e| ReqError::new("transform", e.to_string()))?;
@@ -567,37 +567,6 @@ fn unit_index(ped: &Ped, name: &str) -> Result<usize, ReqError> {
         .iter()
         .position(|u| u.name.eq_ignore_ascii_case(name))
         .ok_or_else(|| ReqError::new("no_such_unit", format!("no unit '{name}'")))
-}
-
-/// Parse a transformation spec (`unroll:4`, `expand:t`, `parallelize`, …)
-/// — the same surface grammar as the interactive CLI's `apply` command.
-fn parse_xform(ped: &Ped, unit: usize, word: &str) -> Result<Xform, ReqError> {
-    let bad = |m: String| ReqError::new("bad_xform", m);
-    let (name, arg) = match word.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (word, None),
-    };
-    let int_arg = || -> Result<i64, ReqError> {
-        arg.and_then(|a| a.parse().ok()).ok_or_else(|| bad(format!("{name} needs :<n>")))
-    };
-    let sym_arg = || -> Result<ped_fortran::SymId, ReqError> {
-        arg.and_then(|a| ped.program().units[unit].symbols.lookup(a))
-            .ok_or_else(|| bad(format!("{name} needs :<scalar>")))
-    };
-    Ok(match name {
-        "parallelize" => Xform::Parallelize,
-        "interchange" => Xform::Interchange,
-        "distribute" => Xform::Distribute,
-        "reverse" => Xform::Reverse,
-        "stripmine" => Xform::StripMine { size: int_arg()? },
-        "unroll" => Xform::Unroll { factor: int_arg()? as u32 },
-        "unrolljam" => Xform::UnrollAndJam { factor: int_arg()? as u32 },
-        "skew" => Xform::Skew { factor: int_arg()? },
-        "expand" => Xform::ScalarExpand { var: sym_arg()? },
-        "ivsub" => Xform::IvSub { var: sym_arg()? },
-        "privatize" => Xform::ArrayPrivatize { var: sym_arg()? },
-        other => return Err(bad(format!("unknown transformation {other}"))),
-    })
 }
 
 #[cfg(test)]

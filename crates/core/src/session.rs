@@ -7,7 +7,10 @@ use ped_fortran::symbols::Const;
 use ped_fortran::visit::{loop_tree, stmts_recursive};
 use ped_fortran::{parse_program, Program, ProgramUnit, StmtId, SymId};
 use ped_interproc::{EditProbe, IpAnalysis, IpFlags};
-use ped_obs::{CacheReport, IncrementalReport, LoopSample, Obs, Phase, PhaseTimer, ProfileReport};
+use ped_obs::{
+    CacheReport, IncrementalReport, LoopProfileStat, Obs, Phase, PhaseTimer, ProfileReport,
+    SchedulerReport,
+};
 use ped_runtime::Machine;
 use ped_transform::{Applied, Diagnosis, Xform};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -335,16 +338,14 @@ impl Ped {
             return ProfileReport::empty();
         }
         let st = self.pair_cache.stats();
-        let mut report = ProfileReport::from_snapshot(
-            &self.obs.snapshot(),
-            CacheReport {
-                pair_hits: st.hits,
-                pair_misses: st.misses,
-                graphs_built: self.graphs_built_total,
-                graphs_reused: self.graphs_reused_total,
-            },
-            self.incremental_stats(),
-        );
+        let mut report = self.obs.report();
+        report.cache = CacheReport {
+            pair_hits: st.hits,
+            pair_misses: st.misses,
+            graphs_built: self.graphs_built_total,
+            graphs_reused: self.graphs_reused_total,
+        };
+        report.incremental = self.incremental_stats();
         if self.last_run_tree.load(std::sync::atomic::Ordering::Relaxed) {
             report.engine = "tree".to_string();
         }
@@ -1190,37 +1191,10 @@ impl Ped {
     }
 
     /// Execute the current program. When profiling is on, the run is timed
-    /// as the `interpret` phase and its loop profiles are folded into the
-    /// session's report.
+    /// as the `interpret` phase and its loop profiles and scheduler
+    /// counters are folded into the session's report.
     pub fn run(&self, config: ped_runtime::ExecConfig) -> Result<ped_runtime::RunResult, PedError> {
-        self.last_run_tree.store(
-            config.effective_engine() == ped_runtime::Engine::Tree,
-            std::sync::atomic::Ordering::Relaxed,
-        );
-        let result = {
-            let _t = PhaseTimer::start(self.obs_ref(), Phase::Interpret);
-            let interp = ped_runtime::Interp::new(&self.program, config)
-                .map_err(|e| PedError(e.message.clone()))?;
-            interp.run().map_err(|e| PedError(e.message))?
-        };
-        if self.obs.enabled() {
-            for ((unit, stmt), ls) in &result.profile {
-                self.obs.record_loop(LoopSample {
-                    unit: unit.clone(),
-                    stmt: stmt.0,
-                    invocations: ls.invocations,
-                    iterations: ls.iterations,
-                    ops: ls.ops,
-                });
-            }
-            self.obs.record_sched(&ped_obs::SchedSample {
-                parallel_loops: result.sched.parallel_loops,
-                chunks_executed: result.sched.chunks_executed,
-                chunks_stolen: result.sched.chunks_stolen,
-                worker_iterations: result.sched.worker_iterations.clone(),
-            });
-        }
-        Ok(result)
+        self.execute(config, false).map(|(result, _)| result)
     }
 
     /// Like [`Ped::run`], but also captures the main unit's final memory —
@@ -1230,14 +1204,50 @@ impl Ped {
         &self,
         config: ped_runtime::ExecConfig,
     ) -> Result<(ped_runtime::RunResult, ped_runtime::MemorySnapshot), PedError> {
+        self.execute(config, true)
+    }
+
+    /// The one run path behind [`Ped::run`] and [`Ped::run_with_memory`]:
+    /// they differ only in whether the final memory is captured (the
+    /// snapshot is empty when it is not).
+    fn execute(
+        &self,
+        config: ped_runtime::ExecConfig,
+        capture_memory: bool,
+    ) -> Result<(ped_runtime::RunResult, ped_runtime::MemorySnapshot), PedError> {
         self.last_run_tree.store(
             config.effective_engine() == ped_runtime::Engine::Tree,
             std::sync::atomic::Ordering::Relaxed,
         );
-        let _t = PhaseTimer::start(self.obs_ref(), Phase::Interpret);
-        let interp = ped_runtime::Interp::new(&self.program, config)
-            .map_err(|e| PedError(e.message.clone()))?;
-        interp.run_with_memory().map_err(|e| PedError(e.message))
+        let (result, memory) = {
+            let _t = PhaseTimer::start(self.obs_ref(), Phase::Interpret);
+            let interp = ped_runtime::Interp::new(&self.program, config)
+                .map_err(|e| PedError(e.message.clone()))?;
+            let run = if capture_memory {
+                interp.run_with_memory()
+            } else {
+                interp.run().map(|r| (r, ped_runtime::MemorySnapshot::default()))
+            };
+            run.map_err(|e| PedError(e.message))?
+        };
+        if self.obs.enabled() {
+            for ((unit, stmt), ls) in &result.profile {
+                self.obs.record_loop(LoopProfileStat {
+                    unit: unit.clone(),
+                    stmt: stmt.0,
+                    invocations: ls.invocations,
+                    iterations: ls.iterations,
+                    ops: ls.ops,
+                });
+            }
+            self.obs.record_sched(&SchedulerReport {
+                parallel_loops: result.sched.parallel_loops,
+                chunks_executed: result.sched.chunks_executed,
+                chunks_stolen: result.sched.chunks_stolen,
+                worker_iterations: result.sched.worker_iterations.clone(),
+            });
+        }
+        Ok((result, memory))
     }
 }
 
@@ -1298,6 +1308,37 @@ pub fn build_unit_graph(
         obs,
     };
     build_graph(unit_ref, header, &config)
+}
+
+/// Parse a transformation spec (`parallelize`, `unroll:4`, `expand:t`, …)
+/// against the symbols of `unit`: the one grammar of the interactive
+/// `apply`/`diagnose` commands and the `serve` daemon's `transform` verb.
+/// An error names the argument the word needs (`privatize needs :<array>`).
+pub fn parse_xform(unit: &ProgramUnit, spec: &str) -> Result<Xform, String> {
+    let (name, arg) = match spec.split_once(':') {
+        Some((n, a)) => (n, Some(a)),
+        None => (spec, None),
+    };
+    let int = || -> Result<i64, String> {
+        arg.and_then(|a| a.parse().ok()).ok_or_else(|| format!("{name} needs :<n>"))
+    };
+    let sym = |kind: &str| -> Result<SymId, String> {
+        arg.and_then(|a| unit.symbols.lookup(a)).ok_or_else(|| format!("{name} needs :<{kind}>"))
+    };
+    Ok(match name {
+        "parallelize" => Xform::Parallelize,
+        "interchange" => Xform::Interchange,
+        "distribute" => Xform::Distribute,
+        "reverse" => Xform::Reverse,
+        "stripmine" => Xform::StripMine { size: int()? },
+        "unroll" => Xform::Unroll { factor: int()? as u32 },
+        "unrolljam" => Xform::UnrollAndJam { factor: int()? as u32 },
+        "skew" => Xform::Skew { factor: int()? },
+        "expand" => Xform::ScalarExpand { var: sym("scalar")? },
+        "ivsub" => Xform::IvSub { var: sym("scalar")? },
+        "privatize" => Xform::ArrayPrivatize { var: sym("array")? },
+        other => return Err(format!("unknown transformation {other}")),
+    })
 }
 
 /// Per-loop fingerprints of one unit under the current analysis results:
@@ -1409,6 +1450,34 @@ fn dep_uses_index_array(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every word of the CLI help, a missing argument, and an unknown word.
+    #[test]
+    fn xform_specs_parse() {
+        let ped = Ped::open("program t\nreal a(10)\ndo i = 1, 10\nt = i\na(i) = t\nenddo\nend\n")
+            .unwrap();
+        let unit = &ped.program().units[0];
+        let (a, t) = (unit.symbols.lookup("a").unwrap(), unit.symbols.lookup("t").unwrap());
+        for (spec, want) in [
+            ("parallelize", Ok(Xform::Parallelize)),
+            ("interchange", Ok(Xform::Interchange)),
+            ("distribute", Ok(Xform::Distribute)),
+            ("reverse", Ok(Xform::Reverse)),
+            ("stripmine:8", Ok(Xform::StripMine { size: 8 })),
+            ("unroll:4", Ok(Xform::Unroll { factor: 4 })),
+            ("unrolljam:2", Ok(Xform::UnrollAndJam { factor: 2 })),
+            ("skew:1", Ok(Xform::Skew { factor: 1 })),
+            ("expand:t", Ok(Xform::ScalarExpand { var: t })),
+            ("ivsub:t", Ok(Xform::IvSub { var: t })),
+            ("privatize:a", Ok(Xform::ArrayPrivatize { var: a })),
+            ("unroll", Err("unroll needs :<n>")),
+            ("privatize:", Err("privatize needs :<array>")),
+            ("expand:nosuch", Err("expand needs :<scalar>")),
+            ("frobnicate", Err("unknown transformation frobnicate")),
+        ] {
+            assert_eq!(parse_xform(unit, spec), want.map_err(String::from), "{spec}");
+        }
+    }
 
     const INDEX_ARRAY_SRC: &str = "program scatter\nreal a(100)\ninteger ind(100)\n\
         do i = 1, 100\nind(i) = i\nenddo\ndo i = 1, 100\na(ind(i)) = a(ind(i)) + 1.0\nenddo\nend\n";

@@ -530,10 +530,13 @@ pub fn build_graph(
         !(d.kind == DepKind::True
             && array_classes.get(&v).is_some_and(|c| c.no_carried_flow))
     });
-    if let Some(o) = obs {
-        for c in array_classes.values() {
-            o.record_array_class(c.exposed_bottom, c.privatizable);
-        }
+    if let Some(o) = obs.filter(|o| o.enabled()) {
+        let classes = array_classes.values();
+        o.record_sections(&ped_obs::SectionsReport {
+            arrays_classified: array_classes.len() as u64,
+            exposed_bottom: classes.clone().filter(|c| c.exposed_bottom).count() as u64,
+            privatizable: classes.filter(|c| c.privatizable).count() as u64,
+        });
     }
     drop(scalar_timer);
 

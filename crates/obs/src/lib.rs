@@ -13,24 +13,26 @@
 //! The [`Obs`] registry is plain atomics behind an `enabled` flag: every
 //! recording entry point is one relaxed load and a branch when profiling is
 //! off, so the instrumentation can stay compiled into release builds (the
-//! E11 bench guards the disabled-path overhead). A session snapshot is
-//! published as a versioned, machine-readable [`report::ProfileReport`]
-//! via the dependency-free [`json`] module.
+//! E11 bench guards the disabled-path overhead). [`Obs::report`] publishes
+//! what was recorded as a versioned, machine-readable
+//! [`report::ProfileReport`] via the dependency-free [`json`] module.
 
 pub mod json;
 pub mod report;
 
 pub use report::{
-    AutopilotReport, CacheReport, CampaignReport, DepTestStat, IncrementalReport,
-    LoopProfileStat, PhaseStat, ProfileReport, SchedulerReport, ServeReport, UnitStat,
+    AutopilotReport, CacheReport, CampaignReport, DepTestStat, IncrementalReport, LoopProfileStat,
+    PhaseStat, ProfileReport, SchedulerReport, SectionsReport, ServeReport, UnitStat,
     ValidationSummary, PROFILE_SCHEMA_VERSION,
 };
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
-/// One phase of the Ped pipeline, in execution order.
+/// One phase of the Ped pipeline, in execution order. The registry indexes
+/// its counters by discriminant, so the declaration order is
+/// [`Phase::ALL`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Fortran front end (initial open and re-parses on edit).
@@ -74,22 +76,12 @@ impl Phase {
             Phase::Interpret => "interpret",
         }
     }
-
-    fn idx(self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::ScalarAnalysis => 1,
-            Phase::Interproc => 2,
-            Phase::DepTest => 3,
-            Phase::Transform => 4,
-            Phase::Interpret => 5,
-        }
-    }
 }
 
 /// Which dependence test (or conservative category) decided a subscript
 /// pair / justified a graph edge. Mirrors `ped-dep`'s provenance enum plus
-/// the non-array edge causes, so one histogram covers every edge.
+/// the non-array edge causes, so one histogram covers every edge. Declared
+/// in [`TestKind::ALL`]'s order (the registry indexes by discriminant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TestKind {
     /// Zero-index-variable test.
@@ -151,13 +143,10 @@ impl TestKind {
             TestKind::Control => "control",
         }
     }
-
-    fn idx(self) -> usize {
-        Self::ALL.iter().position(|&k| k == self).expect("kind listed")
-    }
 }
 
-/// How a tested subscript pair came out.
+/// How a tested subscript pair came out (the histogram column, by
+/// discriminant).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairVerdict {
     /// Every dependence disproved.
@@ -166,111 +155,6 @@ pub enum PairVerdict {
     Proven,
     /// Dependence conservatively assumed.
     Pending,
-}
-
-impl PairVerdict {
-    fn idx(self) -> usize {
-        match self {
-            PairVerdict::Independent => 0,
-            PairVerdict::Proven => 1,
-            PairVerdict::Pending => 2,
-        }
-    }
-}
-
-/// One per-unit graph-build sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UnitSample {
-    /// Unit name.
-    pub unit: String,
-    /// Nanoseconds spent building one graph of the unit.
-    pub ns: u64,
-}
-
-/// One loop-profile sample from a program run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopSample {
-    /// Unit name.
-    pub unit: String,
-    /// DO-statement id of the loop.
-    pub stmt: u32,
-    /// Times entered.
-    pub invocations: u64,
-    /// Total iterations.
-    pub iterations: u64,
-    /// Virtual ops spent inside.
-    pub ops: f64,
-}
-
-/// Scheduler counters from threaded runs (feeds the schema-v3
-/// `scheduler` section of the profile report).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SchedSample {
-    /// `PARALLEL DO` invocations dispatched to the worker pool.
-    pub parallel_loops: u64,
-    /// Chunks executed across all loops and workers.
-    pub chunks_executed: u64,
-    /// Chunks served by work stealing.
-    pub chunks_stolen: u64,
-    /// Iterations executed per worker (index = worker id).
-    pub worker_iterations: Vec<u64>,
-}
-
-/// Bounded regular-section counters from graph builds (feeds the schema v7
-/// `sections` block of the profile report).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SectionsSample {
-    /// Arrays classified by the section walk across all graph builds.
-    pub arrays_classified: u64,
-    /// Arrays whose exposed-read section was ⊥ (fully killed before use).
-    pub exposed_bottom: u64,
-    /// Arrays proven privatizable (killed, not live after the loop).
-    pub privatizable: u64,
-}
-
-/// Shadow-runtime validation counters from checked runs (feeds the schema
-/// v4 `validation` section of the profile report).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ValidationSample {
-    /// Checked runs performed.
-    pub checks: u64,
-    /// Loops whose observations were cross-checked against a graph.
-    pub loops_checked: u64,
-    /// Soundness violations found (observed carried dependences on
-    /// parallel loops the static story does not license).
-    pub races: u64,
-    /// Observed carried (variable, kind) dependences across all loops.
-    pub observed_deps: u64,
-    /// Active static carried edges never observed on any tested input
-    /// (the conservatism count).
-    pub static_unobserved: u64,
-    /// User-deleted edges that no tested input ever contradicted.
-    pub validated_deletions: u64,
-}
-
-/// Plain-data snapshot of an [`Obs`] registry.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObsSnapshot {
-    /// Whether recording was enabled at snapshot time.
-    pub enabled: bool,
-    /// Per phase: (accumulated nanoseconds, timed calls), indexed like
-    /// [`Phase::ALL`].
-    pub phases: Vec<(u64, u64)>,
-    /// Per test kind: (independent, proven, pending) pair decisions,
-    /// indexed like [`TestKind::ALL`].
-    pub pairs: Vec<[u64; 3]>,
-    /// Per test kind: emitted graph edges this test justified.
-    pub edges: Vec<u64>,
-    /// Per-unit graph-build timings, aggregated (unit, graphs, ns).
-    pub units: Vec<(String, u64, u64)>,
-    /// Loop profiles recorded from runs.
-    pub loops: Vec<LoopSample>,
-    /// Parallel-runtime scheduler counters accumulated over runs.
-    pub sched: SchedSample,
-    /// Shadow-runtime validation counters accumulated over checked runs.
-    pub validation: ValidationSample,
-    /// Regular-section counters accumulated over graph builds.
-    pub sections: SectionsSample,
 }
 
 /// The instrumentation registry: atomic counters behind an enable flag.
@@ -282,11 +166,10 @@ pub struct Obs {
     phase_calls: [AtomicU64; Phase::COUNT],
     pair_hist: [[AtomicU64; 3]; TestKind::COUNT],
     edge_hist: [AtomicU64; TestKind::COUNT],
-    units: Mutex<Vec<UnitSample>>,
-    loops: Mutex<Vec<LoopSample>>,
-    sched: Mutex<SchedSample>,
-    validation: Mutex<ValidationSample>,
-    sections: Mutex<SectionsSample>,
+    /// The report's locked blocks, recorded in place: unit and loop rows
+    /// (kept sorted, one per key) and the folded scheduler, validation
+    /// and sections counters. [`Obs::report`] adds the atomic rows.
+    recorded: Mutex<ProfileReport>,
 }
 
 impl Default for Obs {
@@ -304,11 +187,7 @@ impl Obs {
             phase_calls: std::array::from_fn(|_| AtomicU64::new(0)),
             pair_hist: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             edge_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            units: Mutex::new(Vec::new()),
-            loops: Mutex::new(Vec::new()),
-            sched: Mutex::new(SchedSample::default()),
-            validation: Mutex::new(ValidationSample::default()),
-            sections: Mutex::new(SectionsSample::default()),
+            recorded: Mutex::new(ProfileReport::empty()),
         }
     }
 
@@ -331,8 +210,8 @@ impl Obs {
 
     /// Add raw nanoseconds to a phase (used by the drop guard).
     pub fn add_phase_ns(&self, phase: Phase, ns: u64) {
-        self.phase_ns[phase.idx()].fetch_add(ns, Ordering::Relaxed);
-        self.phase_calls[phase.idx()].fetch_add(1, Ordering::Relaxed);
+        self.phase_ns[phase as usize].fetch_add(ns, Ordering::Relaxed);
+        self.phase_calls[phase as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one subscript-pair decision: `test` resolved the pair with
@@ -342,7 +221,7 @@ impl Obs {
         if !self.enabled() {
             return;
         }
-        self.pair_hist[test.idx()][verdict.idx()].fetch_add(1, Ordering::Relaxed);
+        self.pair_hist[test as usize][verdict as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one emitted dependence edge justified by `test`.
@@ -351,133 +230,98 @@ impl Obs {
         if !self.enabled() {
             return;
         }
-        self.edge_hist[test.idx()].fetch_add(1, Ordering::Relaxed);
+        self.edge_hist[test as usize].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record one per-unit graph-build timing.
+    /// Record one graph build of `unit` that took `ns` nanoseconds.
     pub fn record_unit(&self, unit: &str, ns: u64) {
         if !self.enabled() {
             return;
         }
-        self.units.lock().unwrap().push(UnitSample { unit: unit.to_string(), ns });
+        let units = &mut self.recorded().units;
+        match units.binary_search_by(|u| u.unit.as_str().cmp(unit)) {
+            Ok(i) => {
+                units[i].graphs += 1;
+                units[i].ns += ns;
+            }
+            Err(i) => units.insert(i, UnitStat { unit: unit.to_string(), graphs: 1, ns }),
+        }
     }
 
-    /// Record one loop-profile sample from a run.
-    pub fn record_loop(&self, sample: LoopSample) {
+    /// Fold one run's profile of one loop into that loop's row.
+    pub fn record_loop(&self, run: LoopProfileStat) {
         if !self.enabled() {
             return;
         }
-        self.loops.lock().unwrap().push(sample);
+        let loops = &mut self.recorded().loop_profiles;
+        match loops.binary_search_by(|l| (&l.unit, l.stmt).cmp(&(&run.unit, run.stmt))) {
+            Ok(i) => {
+                loops[i].invocations += run.invocations;
+                loops[i].iterations += run.iterations;
+                loops[i].ops += run.ops;
+            }
+            Err(i) => loops.insert(i, run),
+        }
     }
 
     /// Fold one run's parallel-scheduler counters into the registry.
-    pub fn record_sched(&self, sample: &SchedSample) {
+    pub fn record_sched(&self, run: &SchedulerReport) {
         if !self.enabled() {
             return;
         }
-        let mut s = self.sched.lock().unwrap();
-        s.parallel_loops += sample.parallel_loops;
-        s.chunks_executed += sample.chunks_executed;
-        s.chunks_stolen += sample.chunks_stolen;
-        if s.worker_iterations.len() < sample.worker_iterations.len() {
-            s.worker_iterations.resize(sample.worker_iterations.len(), 0);
-        }
-        for (a, b) in s.worker_iterations.iter_mut().zip(&sample.worker_iterations) {
-            *a += b;
-        }
+        self.recorded().scheduler.add(run);
     }
 
     /// Fold one checked run's validation counters into the registry.
-    pub fn record_validation(&self, sample: &ValidationSample) {
+    pub fn record_validation(&self, run: &ValidationSummary) {
         if !self.enabled() {
             return;
         }
-        let mut s = self.validation.lock().unwrap();
-        s.checks += sample.checks;
-        s.loops_checked += sample.loops_checked;
-        s.races += sample.races;
-        s.observed_deps += sample.observed_deps;
-        s.static_unobserved += sample.static_unobserved;
-        s.validated_deletions += sample.validated_deletions;
+        self.recorded().validation.add(run);
     }
 
-    /// Record one array's section classification from a graph build.
-    #[inline]
-    pub fn record_array_class(&self, exposed_bottom: bool, privatizable: bool) {
+    /// Fold one graph build's array-section counters into the registry.
+    pub fn record_sections(&self, build: &SectionsReport) {
         if !self.enabled() {
             return;
         }
-        let mut s = self.sections.lock().unwrap();
-        s.arrays_classified += 1;
-        s.exposed_bottom += exposed_bottom as u64;
-        s.privatizable += privatizable as u64;
+        self.recorded().sections.add(build);
     }
 
-    /// Copy out everything recorded so far. Per-unit samples are aggregated
-    /// and both unit and loop lists are sorted for deterministic reports.
-    pub fn snapshot(&self) -> ObsSnapshot {
-        let mut agg: std::collections::HashMap<String, (u64, u64)> =
-            std::collections::HashMap::new();
-        for s in self.units.lock().unwrap().iter() {
-            let e = agg.entry(s.unit.clone()).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.ns;
-        }
-        let mut units: Vec<(String, u64, u64)> =
-            agg.into_iter().map(|(u, (g, ns))| (u, g, ns)).collect();
-        units.sort();
-        let mut loops = self.loops.lock().unwrap().clone();
-        loops.sort_by(|a, b| (&a.unit, a.stmt).cmp(&(&b.unit, b.stmt)));
-        ObsSnapshot {
-            enabled: self.enabled(),
-            phases: (0..Phase::COUNT)
-                .map(|i| {
-                    (
-                        self.phase_ns[i].load(Ordering::Relaxed),
-                        self.phase_calls[i].load(Ordering::Relaxed),
-                    )
-                })
-                .collect(),
-            pairs: (0..TestKind::COUNT)
-                .map(|i| {
-                    [
-                        self.pair_hist[i][0].load(Ordering::Relaxed),
-                        self.pair_hist[i][1].load(Ordering::Relaxed),
-                        self.pair_hist[i][2].load(Ordering::Relaxed),
-                    ]
-                })
-                .collect(),
-            edges: (0..TestKind::COUNT)
-                .map(|i| self.edge_hist[i].load(Ordering::Relaxed))
-                .collect(),
-            units,
-            loops,
-            sched: self.sched.lock().unwrap().clone(),
-            validation: self.validation.lock().unwrap().clone(),
-            sections: self.sections.lock().unwrap().clone(),
-        }
+    fn recorded(&self) -> MutexGuard<'_, ProfileReport> {
+        self.recorded.lock().expect("no recording thread panics while holding the report")
     }
 
-    /// Zero every counter (the enable flag is untouched).
-    pub fn reset(&self) {
-        for a in &self.phase_ns {
-            a.store(0, Ordering::Relaxed);
-        }
-        for a in &self.phase_calls {
-            a.store(0, Ordering::Relaxed);
-        }
-        for row in &self.pair_hist {
-            for a in row {
-                a.store(0, Ordering::Relaxed);
-            }
-        }
-        for a in &self.edge_hist {
-            a.store(0, Ordering::Relaxed);
-        }
-        self.units.lock().unwrap().clear();
-        self.loops.lock().unwrap().clear();
-        *self.sched.lock().unwrap() = SchedSample::default();
-        *self.validation.lock().unwrap() = ValidationSample::default();
+    /// Everything recorded so far, as a report. Blocks the registry does
+    /// not own (`cache`, `incremental`, `serve`, `campaign`, `autopilot`)
+    /// are zero; their owners fill them in before emitting.
+    pub fn report(&self) -> ProfileReport {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        let mut report = self.recorded().clone();
+        report.enabled = self.enabled();
+        report.phases = Phase::ALL
+            .iter()
+            .zip(self.phase_ns.iter().zip(&self.phase_calls))
+            .map(|(p, (ns, calls))| PhaseStat {
+                name: p.name().to_string(),
+                calls: load(calls),
+                ns: load(ns),
+            })
+            .filter(|p| p.ns > 0 || p.calls > 0)
+            .collect();
+        report.dep_tests = TestKind::ALL
+            .iter()
+            .zip(self.pair_hist.iter().zip(&self.edge_hist))
+            .map(|(k, ([independent, proven, pending], edges))| DepTestStat {
+                test: k.name().to_string(),
+                independent: load(independent),
+                proven: load(proven),
+                pending: load(pending),
+                edges: load(edges),
+            })
+            .filter(|t| t.independent + t.proven + t.pending + t.edges > 0)
+            .collect();
+        report
     }
 }
 
@@ -510,29 +354,22 @@ impl Drop for PhaseTimer<'_> {
 mod tests {
     use super::*;
 
+    fn one_loop_run() -> LoopProfileStat {
+        LoopProfileStat { unit: "main".into(), stmt: 1, invocations: 1, iterations: 10, ops: 5.0 }
+    }
+
     #[test]
     fn disabled_records_nothing() {
         let obs = Obs::new();
         obs.record_pair(TestKind::Ziv, PairVerdict::Independent);
         obs.record_edge(TestKind::StrongSiv);
         obs.record_unit("main", 100);
-        obs.record_loop(LoopSample {
-            unit: "main".into(),
-            stmt: 1,
-            invocations: 1,
-            iterations: 10,
-            ops: 5.0,
-        });
+        obs.record_loop(one_loop_run());
+        obs.record_sections(&SectionsReport { arrays_classified: 1, ..Default::default() });
         {
             let _t = obs.time(Phase::Parse);
         }
-        let s = obs.snapshot();
-        assert!(!s.enabled);
-        assert!(s.phases.iter().all(|&(ns, calls)| ns == 0 && calls == 0));
-        assert!(s.pairs.iter().all(|r| r.iter().all(|&c| c == 0)));
-        assert!(s.edges.iter().all(|&c| c == 0));
-        assert!(s.units.is_empty());
-        assert!(s.loops.is_empty());
+        assert_eq!(obs.report(), ProfileReport::empty());
     }
 
     #[test]
@@ -545,22 +382,32 @@ mod tests {
         obs.record_unit("main", 100);
         obs.record_unit("main", 50);
         obs.record_unit("aux", 10);
+        obs.record_loop(one_loop_run());
+        obs.record_loop(one_loop_run());
         {
             let _t = obs.time(Phase::DepTest);
             std::hint::black_box(0);
         }
-        let s = obs.snapshot();
-        assert!(s.enabled);
-        let strong = TestKind::ALL.iter().position(|&k| k == TestKind::StrongSiv).unwrap();
-        assert_eq!(s.pairs[strong], [1, 1, 0]);
-        assert_eq!(s.edges[strong], 1);
-        assert_eq!(s.units, vec![("aux".into(), 1, 10), ("main".into(), 2, 150)]);
-        let dep = Phase::DepTest.idx();
-        assert_eq!(s.phases[dep].1, 1, "one timed call");
-        obs.reset();
-        let s2 = obs.snapshot();
-        assert!(s2.units.is_empty());
-        assert_eq!(s2.pairs[strong], [0, 0, 0]);
+        let r = obs.report();
+        assert!(r.enabled);
+        let strong = DepTestStat {
+            test: "strong_siv".into(),
+            independent: 1,
+            proven: 1,
+            pending: 0,
+            edges: 1,
+        };
+        assert_eq!(r.dep_tests, vec![strong]);
+        let unit = |u: &str, graphs, ns| UnitStat { unit: u.into(), graphs, ns };
+        assert_eq!(r.units, vec![unit("aux", 1, 10), unit("main", 2, 150)]);
+        let twice = LoopProfileStat { invocations: 2, iterations: 20, ops: 10.0, ..one_loop_run() };
+        assert_eq!(r.loop_profiles, vec![twice], "one row per loop, summed over runs");
+        assert_eq!(r.phases.len(), 1);
+        assert_eq!((r.phases[0].name.as_str(), r.phases[0].calls), ("dep_test", 1));
+        // The counters are indexed by discriminant: declaration order must
+        // be the listed order.
+        assert!(Phase::ALL.iter().enumerate().all(|(i, &p)| p as usize == i));
+        assert!(TestKind::ALL.iter().enumerate().all(|(i, &k)| k as usize == i));
     }
 
     #[test]
@@ -577,9 +424,7 @@ mod tests {
                 });
             }
         });
-        let snap = obs.snapshot();
-        let gcd = TestKind::ALL.iter().position(|&k| k == TestKind::Gcd).unwrap();
-        assert_eq!(snap.pairs[gcd][2], 4000);
-        assert_eq!(snap.edges[gcd], 4000);
+        let gcd = &obs.report().dep_tests[0];
+        assert_eq!((gcd.test.as_str(), gcd.pending, gcd.edges), ("gcd", 4000, 4000));
     }
 }

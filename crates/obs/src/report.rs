@@ -1,91 +1,288 @@
-//! The versioned profile report: a plain-data snapshot of one session's
+//! The versioned profile report: a plain-data record of one session's
 //! instrumentation, convertible to/from JSON (schema-checked) and
 //! renderable as the interactive `profile` command's text table.
+//!
+//! Each flat counter block is declared once with `block!`: its field list
+//! yields the struct, the JSON writer and reader, and, for blocks the
+//! registry folds run by run, a field-wise `add`. The list-valued sections
+//! (`phases`, `dep_tests`, `scheduler`, `units`, `loop_profiles`) and the
+//! text rendering are written out by hand.
 
 use crate::json::{self, Json};
-use crate::{ObsSnapshot, Phase, TestKind};
+use crate::{Phase, TestKind};
 
-/// Shadow-runtime validation counters. All zero in sessions that never
-/// ran `check`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ValidationSummary {
-    /// Checked runs performed.
-    pub checks: u64,
-    /// Loops whose observations were cross-checked against a graph.
-    pub loops_checked: u64,
-    /// Soundness violations found (observed carried dependences on
-    /// parallel loops the static story does not license).
-    pub races: u64,
-    /// Observed carried (variable, kind) dependences across all loops.
-    pub observed_deps: u64,
-    /// Active static carried edges never observed on any tested input.
-    pub static_unobserved: u64,
-    /// User-deleted edges no tested input ever contradicted.
-    pub validated_deletions: u64,
+/// One scalar of the report: how it is written to JSON and read back.
+/// `KIND` names the expected JSON type in a reader's error.
+trait Field: Sized {
+    const KIND: &'static str;
+    fn to_json(&self) -> Json;
+    fn from_json(v: &Json) -> Option<Self>;
 }
 
-/// Bounded regular-section analysis counters. All zero in sessions that
-/// never built a dependence graph.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SectionsReport {
-    /// Arrays classified by the section walk across all graph builds.
-    pub arrays_classified: u64,
-    /// Arrays whose exposed-read section was ⊥ (fully killed before use).
-    pub exposed_bottom: u64,
-    /// Arrays proven privatizable (killed, not live after the loop).
-    pub privatizable: u64,
+impl Field for u64 {
+    const KIND: &'static str = "integer";
+    fn to_json(&self) -> Json {
+        Json::int(*self)
+    }
+    fn from_json(v: &Json) -> Option<u64> {
+        v.as_u64()
+    }
 }
 
-/// Campaign-mode throughput counters. All zero in sessions that never ran
-/// `--campaign`. Like [`ServeReport`], the registry knows nothing about
-/// campaigns; the campaign engine fills this in from its own counters
-/// before emitting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CampaignReport {
-    /// Seeds pushed through the full pipeline.
-    pub seeds: u64,
-    /// Loops converted to `PARALLEL DO` across all seeds.
-    pub loops_parallelized: u64,
-    /// Discrepancies found (race verdicts, bit divergence, panics).
-    pub discrepancies: u64,
-    /// Minimized reproducers written to disk.
-    pub reproducers: u64,
-    /// Wall-clock nanoseconds summed across workers, per pipeline stage.
-    pub generate_ns: u64,
-    /// Parse + whole-program analysis stage, summed worker nanoseconds.
-    pub analyze_ns: u64,
-    /// Autopar (transform application) stage, summed worker nanoseconds.
-    pub autopar_ns: u64,
-    /// Shadow `--check` stage, summed worker nanoseconds.
-    pub check_ns: u64,
-    /// Cross-engine/mode bit-equality stage, summed worker nanoseconds.
-    pub equivalence_ns: u64,
+impl Field for u32 {
+    const KIND: &'static str = "integer";
+    fn to_json(&self) -> Json {
+        Json::int(u64::from(*self))
+    }
+    fn from_json(v: &Json) -> Option<u32> {
+        v.as_u64().map(|n| n as u32)
+    }
 }
 
-/// Autopilot planner counters. All zero in sessions that never ran the
-/// planner. Like [`CampaignReport`], the registry knows nothing about the
-/// planner; the autopilot driver fills this in from its search outcome
-/// before emitting.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AutopilotReport {
-    /// Candidate plans enumerated across all nests.
-    pub candidates: u64,
-    /// Candidates pruned by the dependence machinery (unsafe or
-    /// inapplicable).
-    pub pruned_unsafe: u64,
-    /// Candidates that survived safety but scored below the
-    /// profitability floor.
-    pub pruned_unprofitable: u64,
-    /// Winning plans applied and kept.
-    pub plans_applied: u64,
-    /// Winning plans rolled back after failing execution verification.
-    pub plans_rejected: u64,
-    /// Worst predicted-vs-measured speedup ratio before calibration
-    /// (1.0 when nothing was measured).
-    pub calibration_before: f64,
-    /// Worst ratio after the learned correction (1.0 when nothing was
-    /// measured; never exceeds `calibration_before`).
-    pub calibration_after: f64,
+impl Field for f64 {
+    const KIND: &'static str = "number";
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(v: &Json) -> Option<f64> {
+        v.as_f64()
+    }
+}
+
+impl Field for String {
+    const KIND: &'static str = "string";
+    fn to_json(&self) -> Json {
+        Json::str(self)
+    }
+    fn from_json(v: &Json) -> Option<String> {
+        v.as_str().map(str::to_string)
+    }
+}
+
+impl Field for bool {
+    const KIND: &'static str = "bool";
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(v: &Json) -> Option<bool> {
+        v.as_bool()
+    }
+}
+
+/// Read `key` of `obj`, failing with a message that names the key.
+fn field<T: Field>(obj: &Json, key: &str) -> Result<T, String> {
+    obj.get(key)
+        .and_then(T::from_json)
+        .ok_or_else(|| format!("missing or non-{} field '{key}'", T::KIND))
+}
+
+/// Read the array `key` of `obj`, one `row` call per element.
+fn rows<T>(
+    obj: &Json,
+    key: &str,
+    row: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    obj.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("missing or non-array field '{key}'"))?
+        .iter()
+        .map(row)
+        .collect()
+}
+
+/// Declare a flat counter block: the struct plus its JSON writer and
+/// reader, whose keys are the field names in declaration order. A leading
+/// `fold` also defines `add`, the field-wise sum the registry uses to
+/// accumulate one run's counters into the session's.
+macro_rules! block {
+    (fold $(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        block! { $(#[$meta])* pub struct $name { $($(#[$fmeta])* pub $field: $ty,)* } }
+
+        impl $name {
+            /// Add `other` into `self`, field by field.
+            pub(crate) fn add(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// This block as its JSON object.
+            pub fn to_json(&self) -> Json {
+                Json::obj(vec![$((stringify!($field), self.$field.to_json()),)*])
+            }
+
+            /// Read the block back from its JSON object.
+            pub(crate) fn from_json(v: &Json) -> Result<$name, String> {
+                Ok($name { $($field: field(v, stringify!($field))?,)* })
+            }
+        }
+    };
+}
+
+block! {
+    fold
+    /// Shadow-runtime validation counters. All zero in sessions that never
+    /// ran `check`.
+    pub struct ValidationSummary {
+        /// Checked runs performed.
+        pub checks: u64,
+        /// Loops whose observations were cross-checked against a graph.
+        pub loops_checked: u64,
+        /// Soundness violations found (observed carried dependences on
+        /// parallel loops the static story does not license).
+        pub races: u64,
+        /// Observed carried (variable, kind) dependences across all loops.
+        pub observed_deps: u64,
+        /// Active static carried edges never observed on any tested input
+        /// (the conservatism count).
+        pub static_unobserved: u64,
+        /// User-deleted edges no tested input ever contradicted.
+        pub validated_deletions: u64,
+    }
+}
+
+block! {
+    fold
+    /// Bounded regular-section analysis counters. All zero in sessions that
+    /// never built a dependence graph.
+    pub struct SectionsReport {
+        /// Arrays classified by the section walk across all graph builds.
+        pub arrays_classified: u64,
+        /// Arrays whose exposed-read section was ⊥ (fully killed before use).
+        pub exposed_bottom: u64,
+        /// Arrays proven privatizable (killed, not live after the loop).
+        pub privatizable: u64,
+    }
+}
+
+block! {
+    /// Campaign-mode throughput counters. All zero in sessions that never
+    /// ran `--campaign`. Like [`ServeReport`], the registry knows nothing
+    /// about campaigns; the campaign engine fills this in from its own
+    /// counters before emitting.
+    pub struct CampaignReport {
+        /// Seeds pushed through the full pipeline.
+        pub seeds: u64,
+        /// Loops converted to `PARALLEL DO` across all seeds.
+        pub loops_parallelized: u64,
+        /// Discrepancies found (race verdicts, bit divergence, panics).
+        pub discrepancies: u64,
+        /// Minimized reproducers written to disk.
+        pub reproducers: u64,
+        /// Wall-clock nanoseconds summed across workers, per pipeline stage.
+        pub generate_ns: u64,
+        /// Parse + whole-program analysis stage, summed worker nanoseconds.
+        pub analyze_ns: u64,
+        /// Autopar (transform application) stage, summed worker nanoseconds.
+        pub autopar_ns: u64,
+        /// Shadow `--check` stage, summed worker nanoseconds.
+        pub check_ns: u64,
+        /// Cross-engine/mode bit-equality stage, summed worker nanoseconds.
+        pub equivalence_ns: u64,
+    }
+}
+
+block! {
+    /// Autopilot planner counters. All zero in sessions that never ran the
+    /// planner. The search counts straight into this block; the autopilot
+    /// driver adds the calibration ratios before emitting.
+    pub struct AutopilotReport {
+        /// Candidate plans enumerated across all nests.
+        pub candidates: u64,
+        /// Candidates pruned by the dependence machinery (unsafe or
+        /// inapplicable).
+        pub pruned_unsafe: u64,
+        /// Candidates that survived safety but scored below the
+        /// profitability floor.
+        pub pruned_unprofitable: u64,
+        /// Winning plans applied and kept.
+        pub plans_applied: u64,
+        /// Winning plans rolled back after failing execution verification.
+        pub plans_rejected: u64,
+        /// Worst predicted-vs-measured speedup ratio before calibration
+        /// (1.0 when nothing was measured).
+        pub calibration_before: f64,
+        /// Worst ratio after the learned correction (1.0 when nothing was
+        /// measured; never exceeds `calibration_before`).
+        pub calibration_after: f64,
+    }
+}
+
+block! {
+    /// Cache and reuse counters.
+    pub struct CacheReport {
+        /// Subscript-pair cache hits.
+        pub pair_hits: u64,
+        /// Subscript-pair cache misses.
+        pub pair_misses: u64,
+        /// Dependence graphs built from scratch this session.
+        pub graphs_built: u64,
+        /// Graph requests served from the fingerprint-validated cache.
+        pub graphs_reused: u64,
+    }
+}
+
+block! {
+    /// Counters of the loop-granular incremental engine.
+    pub struct IncrementalReport {
+        /// Cached graphs that survived an edit in place because their loop,
+        /// context, and visible fingerprints were unchanged.
+        pub graphs_retained: u64,
+        /// Graphs brought back from the retired store by fingerprint match
+        /// (the near-free undo/redo path).
+        pub graphs_resurrected: u64,
+        /// Whole-program interprocedural recomputations performed.
+        pub ip_recomputes: u64,
+        /// Edits absorbed by the summary-preserving fast path instead of a
+        /// whole-program recompute.
+        pub ip_recomputes_skipped: u64,
+        /// Entries currently on the undo stack.
+        pub undo_entries: u64,
+        /// Entries currently on the redo stack.
+        pub redo_entries: u64,
+        /// Approximate bytes held by the delta journal (undo + redo).
+        pub journal_bytes: u64,
+        /// Approximate bytes the same history would cost as full program
+        /// snapshots — `journal_bytes / snapshot_bytes` is the journal's
+        /// memory saving.
+        pub snapshot_bytes: u64,
+    }
+}
+
+block! {
+    /// Daemon-mode request counters. All zero in sessions never served by a
+    /// `ped serve` daemon, which fills this in from its own counters.
+    pub struct ServeReport {
+        /// Requests handled (well-formed or not).
+        pub requests: u64,
+        /// Requests answered with a structured error.
+        pub errors: u64,
+        /// Sessions opened over the daemon's lifetime.
+        pub sessions_opened: u64,
+        /// Sessions closed (explicitly or by client disconnect).
+        pub sessions_closed: u64,
+        /// Opens that adopted at least one graph from the persistent store.
+        pub warm_opens: u64,
+        /// Graphs adopted from the persistent store across all opens.
+        pub graphs_loaded: u64,
+        /// Graphs written to the persistent store across all closes.
+        pub graphs_persisted: u64,
+        /// Wall-clock nanoseconds spent handling requests, summed.
+        pub total_request_ns: u64,
+        /// Slowest single request, nanoseconds.
+        pub max_request_ns: u64,
+    }
 }
 
 /// Version stamped into every emitted report. Parsing accepts this version
@@ -118,67 +315,6 @@ pub struct DepTestStat {
     pub edges: u64,
 }
 
-/// Cache and reuse counters.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CacheReport {
-    /// Subscript-pair cache hits.
-    pub pair_hits: u64,
-    /// Subscript-pair cache misses.
-    pub pair_misses: u64,
-    /// Dependence graphs built from scratch this session.
-    pub graphs_built: u64,
-    /// Graph requests served from the fingerprint-validated cache.
-    pub graphs_reused: u64,
-}
-
-impl CacheReport {
-    /// Pair-cache hit rate in [0, 1]; 0 when nothing was looked up.
-    pub fn pair_hit_rate(&self) -> f64 {
-        let total = self.pair_hits + self.pair_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pair_hits as f64 / total as f64
-        }
-    }
-
-    /// Graph reuse rate in [0, 1]; 0 when nothing was requested.
-    pub fn graph_reuse_rate(&self) -> f64 {
-        let total = self.graphs_built + self.graphs_reused;
-        if total == 0 {
-            0.0
-        } else {
-            self.graphs_reused as f64 / total as f64
-        }
-    }
-}
-
-/// Counters of the loop-granular incremental engine.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct IncrementalReport {
-    /// Cached graphs that survived an edit in place because their loop,
-    /// context, and visible fingerprints were unchanged.
-    pub graphs_retained: u64,
-    /// Graphs brought back from the retired store by fingerprint match
-    /// (the near-free undo/redo path).
-    pub graphs_resurrected: u64,
-    /// Whole-program interprocedural recomputations performed.
-    pub ip_recomputes: u64,
-    /// Edits absorbed by the summary-preserving fast path instead of a
-    /// whole-program recompute.
-    pub ip_recomputes_skipped: u64,
-    /// Entries currently on the undo stack.
-    pub undo_entries: u64,
-    /// Entries currently on the redo stack.
-    pub redo_entries: u64,
-    /// Approximate bytes held by the delta journal (undo + redo).
-    pub journal_bytes: u64,
-    /// Approximate bytes the same history would cost as full program
-    /// snapshots — `journal_bytes / snapshot_bytes` is the journal's
-    /// memory saving.
-    pub snapshot_bytes: u64,
-}
-
 /// Parallel-runtime scheduler counters. All zero in sessions that never
 /// ran threaded.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -206,30 +342,20 @@ impl SchedulerReport {
         let max = *self.worker_iterations.iter().max().unwrap() as f64;
         max / (total as f64 / n as f64)
     }
-}
 
-/// Daemon-mode request counters. All zero in sessions never served by a
-/// `ped serve` daemon.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServeReport {
-    /// Requests handled (well-formed or not).
-    pub requests: u64,
-    /// Requests answered with a structured error.
-    pub errors: u64,
-    /// Sessions opened over the daemon's lifetime.
-    pub sessions_opened: u64,
-    /// Sessions closed (explicitly or by client disconnect).
-    pub sessions_closed: u64,
-    /// Opens that adopted at least one graph from the persistent store.
-    pub warm_opens: u64,
-    /// Graphs adopted from the persistent store across all opens.
-    pub graphs_loaded: u64,
-    /// Graphs written to the persistent store across all closes.
-    pub graphs_persisted: u64,
-    /// Wall-clock nanoseconds spent handling requests, summed.
-    pub total_request_ns: u64,
-    /// Slowest single request, nanoseconds.
-    pub max_request_ns: u64,
+    /// Add one run's counters into `self`; per-worker rows add by worker
+    /// id.
+    pub(crate) fn add(&mut self, run: &SchedulerReport) {
+        self.parallel_loops += run.parallel_loops;
+        self.chunks_executed += run.chunks_executed;
+        self.chunks_stolen += run.chunks_stolen;
+        if self.worker_iterations.len() < run.worker_iterations.len() {
+            self.worker_iterations.resize(run.worker_iterations.len(), 0);
+        }
+        for (a, b) in self.worker_iterations.iter_mut().zip(&run.worker_iterations) {
+            *a += b;
+        }
+    }
 }
 
 /// Per-unit analysis timing.
@@ -243,7 +369,7 @@ pub struct UnitStat {
     pub ns: u64,
 }
 
-/// One profiled loop from a program run.
+/// One profiled loop, summed over the session's runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoopProfileStat {
     /// Program-unit name.
@@ -265,7 +391,7 @@ pub struct ProfileReport {
     /// (the lowered register machine, the default) or `"tree"` (the
     /// AST-walking oracle).
     pub engine: String,
-    /// Whether instrumentation was on when the snapshot was taken.
+    /// Whether instrumentation was on when the report was taken.
     pub enabled: bool,
     /// Per-phase wall-clock totals, in pipeline order.
     pub phases: Vec<PhaseStat>,
@@ -290,9 +416,10 @@ pub struct ProfileReport {
     /// Autopilot planner counters (filled by `ped --autopilot`, zero
     /// otherwise).
     pub autopilot: AutopilotReport,
-    /// Per-unit graph-build timings.
+    /// Per-unit graph-build timings, sorted by unit.
     pub units: Vec<UnitStat>,
-    /// Loop profiles from runs, if any.
+    /// Loop profiles from runs, one row per loop, sorted by unit and
+    /// statement.
     pub loop_profiles: Vec<LoopProfileStat>,
 }
 
@@ -317,86 +444,6 @@ impl ProfileReport {
         }
     }
 
-    /// Assemble a report from a registry snapshot plus the session-level
-    /// cache and incremental-engine counters (which live outside the
-    /// registry). Scheduler counters come from the snapshot itself.
-    pub fn from_snapshot(
-        snap: &ObsSnapshot,
-        cache: CacheReport,
-        incremental: IncrementalReport,
-    ) -> ProfileReport {
-        let phases = Phase::ALL
-            .iter()
-            .zip(&snap.phases)
-            .filter(|(_, &(ns, calls))| ns > 0 || calls > 0)
-            .map(|(p, &(ns, calls))| PhaseStat { name: p.name().to_string(), calls, ns })
-            .collect();
-        let dep_tests = TestKind::ALL
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| {
-                snap.pairs[i].iter().any(|&c| c > 0) || snap.edges[i] > 0
-            })
-            .map(|(i, k)| DepTestStat {
-                test: k.name().to_string(),
-                independent: snap.pairs[i][0],
-                proven: snap.pairs[i][1],
-                pending: snap.pairs[i][2],
-                edges: snap.edges[i],
-            })
-            .collect();
-        ProfileReport {
-            engine: "bytecode".to_string(),
-            enabled: snap.enabled,
-            phases,
-            dep_tests,
-            cache,
-            incremental,
-            scheduler: SchedulerReport {
-                parallel_loops: snap.sched.parallel_loops,
-                chunks_executed: snap.sched.chunks_executed,
-                chunks_stolen: snap.sched.chunks_stolen,
-                worker_iterations: snap.sched.worker_iterations.clone(),
-            },
-            validation: ValidationSummary {
-                checks: snap.validation.checks,
-                loops_checked: snap.validation.loops_checked,
-                races: snap.validation.races,
-                observed_deps: snap.validation.observed_deps,
-                static_unobserved: snap.validation.static_unobserved,
-                validated_deletions: snap.validation.validated_deletions,
-            },
-            // The registry knows nothing about daemons; `ped serve` fills
-            // this in from its own counters before emitting.
-            serve: ServeReport::default(),
-            sections: SectionsReport {
-                arrays_classified: snap.sections.arrays_classified,
-                exposed_bottom: snap.sections.exposed_bottom,
-                privatizable: snap.sections.privatizable,
-            },
-            // Like `serve`: filled by the campaign engine before emitting.
-            campaign: CampaignReport::default(),
-            // Filled by the autopilot driver before emitting.
-            autopilot: AutopilotReport::default(),
-            units: snap
-                .units
-                .iter()
-                .map(|(u, g, ns)| UnitStat { unit: u.clone(), graphs: *g, ns: *ns })
-                .collect(),
-            loop_profiles: snap
-                .loops
-                .iter()
-                .map(|l| LoopProfileStat {
-                    unit: l.unit.clone(),
-                    stmt: l.stmt,
-                    invocations: l.invocations,
-                    iterations: l.iterations,
-                    ops: l.ops,
-                })
-                .collect(),
-        }
-    }
-
     /// Total dependence edges across the histogram (equals the analyzed
     /// graphs' combined edge counts).
     pub fn total_edges(&self) -> u64 {
@@ -410,11 +457,12 @@ impl ProfileReport {
 
     /// Serialize to the versioned JSON form.
     pub fn to_json(&self) -> Json {
+        let sched = &self.scheduler;
         Json::obj(vec![
-            ("schema_version", Json::int(PROFILE_SCHEMA_VERSION)),
+            ("schema_version", PROFILE_SCHEMA_VERSION.to_json()),
             ("tool", Json::str("ped")),
-            ("engine", Json::str(&self.engine)),
-            ("enabled", Json::Bool(self.enabled)),
+            ("engine", self.engine.to_json()),
+            ("enabled", self.enabled.to_json()),
             (
                 "phases",
                 Json::Arr(
@@ -422,9 +470,9 @@ impl ProfileReport {
                         .iter()
                         .map(|p| {
                             Json::obj(vec![
-                                ("name", Json::str(&p.name)),
-                                ("calls", Json::int(p.calls)),
-                                ("ns", Json::int(p.ns)),
+                                ("name", p.name.to_json()),
+                                ("calls", p.calls.to_json()),
+                                ("ns", p.ns.to_json()),
                             ])
                         })
                         .collect(),
@@ -437,127 +485,38 @@ impl ProfileReport {
                         .iter()
                         .map(|t| {
                             Json::obj(vec![
-                                ("test", Json::str(&t.test)),
-                                ("independent", Json::int(t.independent)),
-                                ("proven", Json::int(t.proven)),
-                                ("pending", Json::int(t.pending)),
-                                ("edges", Json::int(t.edges)),
+                                ("test", t.test.to_json()),
+                                ("independent", t.independent.to_json()),
+                                ("proven", t.proven.to_json()),
+                                ("pending", t.pending.to_json()),
+                                ("edges", t.edges.to_json()),
                             ])
                         })
                         .collect(),
                 ),
             ),
-            (
-                "cache",
-                Json::obj(vec![
-                    ("pair_hits", Json::int(self.cache.pair_hits)),
-                    ("pair_misses", Json::int(self.cache.pair_misses)),
-                    ("graphs_built", Json::int(self.cache.graphs_built)),
-                    ("graphs_reused", Json::int(self.cache.graphs_reused)),
-                ]),
-            ),
-            (
-                "incremental",
-                Json::obj(vec![
-                    ("graphs_retained", Json::int(self.incremental.graphs_retained)),
-                    ("graphs_resurrected", Json::int(self.incremental.graphs_resurrected)),
-                    ("ip_recomputes", Json::int(self.incremental.ip_recomputes)),
-                    ("ip_recomputes_skipped", Json::int(self.incremental.ip_recomputes_skipped)),
-                    ("undo_entries", Json::int(self.incremental.undo_entries)),
-                    ("redo_entries", Json::int(self.incremental.redo_entries)),
-                    ("journal_bytes", Json::int(self.incremental.journal_bytes)),
-                    ("snapshot_bytes", Json::int(self.incremental.snapshot_bytes)),
-                ]),
-            ),
+            ("cache", self.cache.to_json()),
+            ("incremental", self.incremental.to_json()),
             (
                 "scheduler",
                 Json::obj(vec![
-                    ("parallel_loops", Json::int(self.scheduler.parallel_loops)),
-                    ("chunks_executed", Json::int(self.scheduler.chunks_executed)),
-                    ("chunks_stolen", Json::int(self.scheduler.chunks_stolen)),
+                    ("parallel_loops", sched.parallel_loops.to_json()),
+                    ("chunks_executed", sched.chunks_executed.to_json()),
+                    ("chunks_stolen", sched.chunks_stolen.to_json()),
                     (
                         "worker_iterations",
-                        Json::Arr(
-                            self.scheduler
-                                .worker_iterations
-                                .iter()
-                                .map(|&n| Json::int(n))
-                                .collect(),
-                        ),
+                        Json::Arr(sched.worker_iterations.iter().map(Field::to_json).collect()),
                     ),
                     // Derived convenience value for readers; recomputed
                     // (never trusted) on parse.
-                    ("imbalance_ratio", Json::Num(self.scheduler.imbalance_ratio())),
+                    ("imbalance_ratio", sched.imbalance_ratio().to_json()),
                 ]),
             ),
-            (
-                "validation",
-                Json::obj(vec![
-                    ("checks", Json::int(self.validation.checks)),
-                    ("loops_checked", Json::int(self.validation.loops_checked)),
-                    ("races", Json::int(self.validation.races)),
-                    ("observed_deps", Json::int(self.validation.observed_deps)),
-                    ("static_unobserved", Json::int(self.validation.static_unobserved)),
-                    ("validated_deletions", Json::int(self.validation.validated_deletions)),
-                ]),
-            ),
-            (
-                "serve",
-                Json::obj(vec![
-                    ("requests", Json::int(self.serve.requests)),
-                    ("errors", Json::int(self.serve.errors)),
-                    ("sessions_opened", Json::int(self.serve.sessions_opened)),
-                    ("sessions_closed", Json::int(self.serve.sessions_closed)),
-                    ("warm_opens", Json::int(self.serve.warm_opens)),
-                    ("graphs_loaded", Json::int(self.serve.graphs_loaded)),
-                    ("graphs_persisted", Json::int(self.serve.graphs_persisted)),
-                    ("total_request_ns", Json::int(self.serve.total_request_ns)),
-                    ("max_request_ns", Json::int(self.serve.max_request_ns)),
-                ]),
-            ),
-            (
-                "sections",
-                Json::obj(vec![
-                    ("arrays_classified", Json::int(self.sections.arrays_classified)),
-                    ("exposed_bottom", Json::int(self.sections.exposed_bottom)),
-                    ("privatizable", Json::int(self.sections.privatizable)),
-                ]),
-            ),
-            (
-                "campaign",
-                Json::obj(vec![
-                    ("seeds", Json::int(self.campaign.seeds)),
-                    ("loops_parallelized", Json::int(self.campaign.loops_parallelized)),
-                    ("discrepancies", Json::int(self.campaign.discrepancies)),
-                    ("reproducers", Json::int(self.campaign.reproducers)),
-                    ("generate_ns", Json::int(self.campaign.generate_ns)),
-                    ("analyze_ns", Json::int(self.campaign.analyze_ns)),
-                    ("autopar_ns", Json::int(self.campaign.autopar_ns)),
-                    ("check_ns", Json::int(self.campaign.check_ns)),
-                    ("equivalence_ns", Json::int(self.campaign.equivalence_ns)),
-                ]),
-            ),
-            (
-                "autopilot",
-                Json::obj(vec![
-                    ("candidates", Json::int(self.autopilot.candidates)),
-                    ("pruned_unsafe", Json::int(self.autopilot.pruned_unsafe)),
-                    (
-                        "pruned_unprofitable",
-                        Json::int(self.autopilot.pruned_unprofitable),
-                    ),
-                    ("plans_applied", Json::int(self.autopilot.plans_applied)),
-                    ("plans_rejected", Json::int(self.autopilot.plans_rejected)),
-                    (
-                        "calibration_before",
-                        Json::Num(self.autopilot.calibration_before),
-                    ),
-                    (
-                        "calibration_after",
-                        Json::Num(self.autopilot.calibration_after),
-                    ),
-                ]),
-            ),
+            ("validation", self.validation.to_json()),
+            ("serve", self.serve.to_json()),
+            ("sections", self.sections.to_json()),
+            ("campaign", self.campaign.to_json()),
+            ("autopilot", self.autopilot.to_json()),
             (
                 "units",
                 Json::Arr(
@@ -565,9 +524,9 @@ impl ProfileReport {
                         .iter()
                         .map(|u| {
                             Json::obj(vec![
-                                ("unit", Json::str(&u.unit)),
-                                ("graphs", Json::int(u.graphs)),
-                                ("ns", Json::int(u.ns)),
+                                ("unit", u.unit.to_json()),
+                                ("graphs", u.graphs.to_json()),
+                                ("ns", u.ns.to_json()),
                             ])
                         })
                         .collect(),
@@ -580,11 +539,11 @@ impl ProfileReport {
                         .iter()
                         .map(|l| {
                             Json::obj(vec![
-                                ("unit", Json::str(&l.unit)),
-                                ("stmt", Json::int(l.stmt as u64)),
-                                ("invocations", Json::int(l.invocations)),
-                                ("iterations", Json::int(l.iterations)),
-                                ("ops", Json::Num(l.ops)),
+                                ("unit", l.unit.to_json()),
+                                ("stmt", l.stmt.to_json()),
+                                ("invocations", l.invocations.to_json()),
+                                ("iterations", l.iterations.to_json()),
+                                ("ops", l.ops.to_json()),
                             ])
                         })
                         .collect(),
@@ -601,202 +560,79 @@ impl ProfileReport {
 
     /// Parse a report back from a JSON value, validating the schema version.
     pub fn from_json(v: &Json) -> Result<ProfileReport, String> {
-        let need_u64 = |obj: &Json, key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-        };
-        let need_str = |obj: &Json, key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing or non-string field '{key}'"))
-        };
-        let need_arr = |obj: &Json, key: &str| -> Result<Vec<Json>, String> {
-            obj.get(key)
-                .and_then(Json::as_arr)
-                .map(<[Json]>::to_vec)
-                .ok_or_else(|| format!("missing or non-array field '{key}'"))
-        };
-
-        let need_obj = |key: &str| -> Result<&Json, String> {
-            v.get(key).ok_or_else(|| format!("missing field '{key}'"))
-        };
-
-        let schema_version = need_u64(v, "schema_version")?;
+        let schema_version: u64 = field(v, "schema_version")?;
         if schema_version != PROFILE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported profile schema version {schema_version} \
                  (expected {PROFILE_SCHEMA_VERSION})"
             ));
         }
-        let engine = need_str(v, "engine")?;
+        let engine: String = field(v, "engine")?;
         if !matches!(engine.as_str(), "tree" | "bytecode") {
             return Err(format!("unknown engine '{engine}'"));
         }
-        let enabled = v
-            .get("enabled")
-            .and_then(Json::as_bool)
-            .ok_or("missing or non-bool field 'enabled'")?;
-
-        let mut phases = Vec::new();
-        for p in need_arr(v, "phases")? {
-            let name = need_str(&p, "name")?;
-            if !Phase::ALL.iter().any(|ph| ph.name() == name) {
-                return Err(format!("unknown phase '{name}'"));
-            }
-            phases.push(PhaseStat { name, calls: need_u64(&p, "calls")?, ns: need_u64(&p, "ns")? });
-        }
-
-        let mut dep_tests = Vec::new();
-        for t in need_arr(v, "dep_tests")? {
-            let test = need_str(&t, "test")?;
-            if !TestKind::ALL.iter().any(|k| k.name() == test) {
-                return Err(format!("unknown dependence test '{test}'"));
-            }
-            dep_tests.push(DepTestStat {
-                test,
-                independent: need_u64(&t, "independent")?,
-                proven: need_u64(&t, "proven")?,
-                pending: need_u64(&t, "pending")?,
-                edges: need_u64(&t, "edges")?,
-            });
-        }
-
-        let c = need_obj("cache")?;
-        let cache = CacheReport {
-            pair_hits: need_u64(c, "pair_hits")?,
-            pair_misses: need_u64(c, "pair_misses")?,
-            graphs_built: need_u64(c, "graphs_built")?,
-            graphs_reused: need_u64(c, "graphs_reused")?,
-        };
-
-        let inc = need_obj("incremental")?;
-        let incremental = IncrementalReport {
-            graphs_retained: need_u64(inc, "graphs_retained")?,
-            graphs_resurrected: need_u64(inc, "graphs_resurrected")?,
-            ip_recomputes: need_u64(inc, "ip_recomputes")?,
-            ip_recomputes_skipped: need_u64(inc, "ip_recomputes_skipped")?,
-            undo_entries: need_u64(inc, "undo_entries")?,
-            redo_entries: need_u64(inc, "redo_entries")?,
-            journal_bytes: need_u64(inc, "journal_bytes")?,
-            snapshot_bytes: need_u64(inc, "snapshot_bytes")?,
-        };
-
-        // The emitted `imbalance_ratio` is derived, so it is ignored here
-        // and recomputed on demand.
-        let s = need_obj("scheduler")?;
-        let scheduler = SchedulerReport {
-            parallel_loops: need_u64(s, "parallel_loops")?,
-            chunks_executed: need_u64(s, "chunks_executed")?,
-            chunks_stolen: need_u64(s, "chunks_stolen")?,
-            worker_iterations: need_arr(s, "worker_iterations")?
-                .iter()
-                .map(|w| {
-                    w.as_u64()
-                        .ok_or_else(|| "non-integer entry in 'worker_iterations'".to_string())
-                })
-                .collect::<Result<Vec<u64>, String>>()?,
-        };
-
-        let s = need_obj("validation")?;
-        let validation = ValidationSummary {
-            checks: need_u64(s, "checks")?,
-            loops_checked: need_u64(s, "loops_checked")?,
-            races: need_u64(s, "races")?,
-            observed_deps: need_u64(s, "observed_deps")?,
-            static_unobserved: need_u64(s, "static_unobserved")?,
-            validated_deletions: need_u64(s, "validated_deletions")?,
-        };
-
-        let s = need_obj("serve")?;
-        let serve = ServeReport {
-            requests: need_u64(s, "requests")?,
-            errors: need_u64(s, "errors")?,
-            sessions_opened: need_u64(s, "sessions_opened")?,
-            sessions_closed: need_u64(s, "sessions_closed")?,
-            warm_opens: need_u64(s, "warm_opens")?,
-            graphs_loaded: need_u64(s, "graphs_loaded")?,
-            graphs_persisted: need_u64(s, "graphs_persisted")?,
-            total_request_ns: need_u64(s, "total_request_ns")?,
-            max_request_ns: need_u64(s, "max_request_ns")?,
-        };
-
-        let s = need_obj("sections")?;
-        let sections = SectionsReport {
-            arrays_classified: need_u64(s, "arrays_classified")?,
-            exposed_bottom: need_u64(s, "exposed_bottom")?,
-            privatizable: need_u64(s, "privatizable")?,
-        };
-
-        let s = need_obj("campaign")?;
-        let campaign = CampaignReport {
-            seeds: need_u64(s, "seeds")?,
-            loops_parallelized: need_u64(s, "loops_parallelized")?,
-            discrepancies: need_u64(s, "discrepancies")?,
-            reproducers: need_u64(s, "reproducers")?,
-            generate_ns: need_u64(s, "generate_ns")?,
-            analyze_ns: need_u64(s, "analyze_ns")?,
-            autopar_ns: need_u64(s, "autopar_ns")?,
-            check_ns: need_u64(s, "check_ns")?,
-            equivalence_ns: need_u64(s, "equivalence_ns")?,
-        };
-
-        let s = need_obj("autopilot")?;
-        let autopilot = AutopilotReport {
-            candidates: need_u64(s, "candidates")?,
-            pruned_unsafe: need_u64(s, "pruned_unsafe")?,
-            pruned_unprofitable: need_u64(s, "pruned_unprofitable")?,
-            plans_applied: need_u64(s, "plans_applied")?,
-            plans_rejected: need_u64(s, "plans_rejected")?,
-            calibration_before: s
-                .get("calibration_before")
-                .and_then(Json::as_f64)
-                .ok_or("missing or non-number field 'calibration_before'")?,
-            calibration_after: s
-                .get("calibration_after")
-                .and_then(Json::as_f64)
-                .ok_or("missing or non-number field 'calibration_after'")?,
-        };
-
-        let mut units = Vec::new();
-        for u in need_arr(v, "units")? {
-            units.push(UnitStat {
-                unit: need_str(&u, "unit")?,
-                graphs: need_u64(&u, "graphs")?,
-                ns: need_u64(&u, "ns")?,
-            });
-        }
-
-        let mut loop_profiles = Vec::new();
-        for l in need_arr(v, "loop_profiles")? {
-            loop_profiles.push(LoopProfileStat {
-                unit: need_str(&l, "unit")?,
-                stmt: need_u64(&l, "stmt")? as u32,
-                invocations: need_u64(&l, "invocations")?,
-                iterations: need_u64(&l, "iterations")?,
-                ops: l
-                    .get("ops")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing or non-number field 'ops'")?,
-            });
-        }
-
+        let block = |key: &str| v.get(key).ok_or_else(|| format!("missing field '{key}'"));
+        // Fields are read in document order, so the first problem in the
+        // document is the one reported.
         Ok(ProfileReport {
             engine,
-            enabled,
-            phases,
-            dep_tests,
-            cache,
-            incremental,
-            scheduler,
-            validation,
-            serve,
-            sections,
-            campaign,
-            autopilot,
-            units,
-            loop_profiles,
+            enabled: field(v, "enabled")?,
+            phases: rows(v, "phases", |p| {
+                let name: String = field(p, "name")?;
+                if !Phase::ALL.iter().any(|ph| ph.name() == name) {
+                    return Err(format!("unknown phase '{name}'"));
+                }
+                Ok(PhaseStat { name, calls: field(p, "calls")?, ns: field(p, "ns")? })
+            })?,
+            dep_tests: rows(v, "dep_tests", |t| {
+                let test: String = field(t, "test")?;
+                if !TestKind::ALL.iter().any(|k| k.name() == test) {
+                    return Err(format!("unknown dependence test '{test}'"));
+                }
+                Ok(DepTestStat {
+                    test,
+                    independent: field(t, "independent")?,
+                    proven: field(t, "proven")?,
+                    pending: field(t, "pending")?,
+                    edges: field(t, "edges")?,
+                })
+            })?,
+            cache: CacheReport::from_json(block("cache")?)?,
+            incremental: IncrementalReport::from_json(block("incremental")?)?,
+            // The emitted `imbalance_ratio` is derived, so it is ignored
+            // here and recomputed on demand.
+            scheduler: {
+                let s = block("scheduler")?;
+                SchedulerReport {
+                    parallel_loops: field(s, "parallel_loops")?,
+                    chunks_executed: field(s, "chunks_executed")?,
+                    chunks_stolen: field(s, "chunks_stolen")?,
+                    worker_iterations: rows(s, "worker_iterations", |w| {
+                        w.as_u64().ok_or_else(|| "non-integer entry in 'worker_iterations'".into())
+                    })?,
+                }
+            },
+            validation: ValidationSummary::from_json(block("validation")?)?,
+            serve: ServeReport::from_json(block("serve")?)?,
+            sections: SectionsReport::from_json(block("sections")?)?,
+            campaign: CampaignReport::from_json(block("campaign")?)?,
+            autopilot: AutopilotReport::from_json(block("autopilot")?)?,
+            units: rows(v, "units", |u| {
+                Ok(UnitStat {
+                    unit: field(u, "unit")?,
+                    graphs: field(u, "graphs")?,
+                    ns: field(u, "ns")?,
+                })
+            })?,
+            loop_profiles: rows(v, "loop_profiles", |l| {
+                Ok(LoopProfileStat {
+                    unit: field(l, "unit")?,
+                    stmt: field(l, "stmt")?,
+                    invocations: field(l, "invocations")?,
+                    iterations: field(l, "iterations")?,
+                    ops: field(l, "ops")?,
+                })
+            })?,
         })
     }
 
@@ -829,17 +665,18 @@ impl ProfileReport {
                 t.test, t.independent, t.proven, t.pending, t.edges
             ));
         }
+        let cache = &self.cache;
         out.push_str(&format!(
             "pair cache: {} hits / {} misses ({:.1}% hit rate)\n",
-            self.cache.pair_hits,
-            self.cache.pair_misses,
-            self.cache.pair_hit_rate() * 100.0
+            cache.pair_hits,
+            cache.pair_misses,
+            percent(cache.pair_hits, cache.pair_hits + cache.pair_misses)
         ));
         out.push_str(&format!(
             "graphs: {} built, {} reused from cache ({:.1}% reuse)\n",
-            self.cache.graphs_built,
-            self.cache.graphs_reused,
-            self.cache.graph_reuse_rate() * 100.0
+            cache.graphs_built,
+            cache.graphs_reused,
+            percent(cache.graphs_reused, cache.graphs_built + cache.graphs_reused)
         ));
         let inc = &self.incremental;
         if *inc != IncrementalReport::default() {
@@ -959,6 +796,15 @@ impl ProfileReport {
     }
 }
 
+/// `part` as a percentage of `total`; 0 when `total` is 0.
+fn percent(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64 * 100.0
+    }
+}
+
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3} s", ns as f64 / 1e9)
@@ -974,16 +820,10 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LoopSample, Obs, PairVerdict, Phase, SchedSample, TestKind, ValidationSample};
+    use crate::{Obs, PairVerdict, Phase, TestKind};
 
-    /// Delete a `,"name":{...}` object from compact JSON text. Works for
-    /// sections whose object nests arrays but no sub-objects.
-    fn strip_section(v: &mut String, name: &str) {
-        let start = v.find(&format!(",\"{name}\":{{")).unwrap();
-        let end = v[start..].find('}').unwrap() + start + 1;
-        v.replace_range(start..end, "");
-    }
-
+    /// A report with every section populated, recorded through the
+    /// registry where the registry owns the block.
     fn sample_report() -> ProfileReport {
         let obs = Obs::new();
         obs.set_enabled(true);
@@ -994,20 +834,23 @@ mod tests {
         obs.record_edge(TestKind::StrongSiv);
         obs.record_edge(TestKind::Scalar);
         obs.record_unit("main", 9_000);
-        obs.record_loop(LoopSample {
-            unit: "main".into(),
-            stmt: 3,
-            invocations: 2,
-            iterations: 20,
-            ops: 123.5,
-        });
-        obs.record_sched(&SchedSample {
+        // Two runs of the same loop fold into one row.
+        for _ in 0..2 {
+            obs.record_loop(LoopProfileStat {
+                unit: "main".into(),
+                stmt: 3,
+                invocations: 1,
+                iterations: 10,
+                ops: 61.75,
+            });
+        }
+        obs.record_sched(&SchedulerReport {
             parallel_loops: 3,
             chunks_executed: 24,
             chunks_stolen: 5,
             worker_iterations: vec![40, 60, 50, 50],
         });
-        obs.record_validation(&ValidationSample {
+        obs.record_validation(&ValidationSummary {
             checks: 1,
             loops_checked: 6,
             races: 1,
@@ -1015,22 +858,23 @@ mod tests {
             static_unobserved: 2,
             validated_deletions: 3,
         });
-        obs.record_array_class(true, true);
-        obs.record_array_class(false, false);
-        let mut r = ProfileReport::from_snapshot(
-            &obs.snapshot(),
-            CacheReport { pair_hits: 5, pair_misses: 3, graphs_built: 2, graphs_reused: 1 },
-            IncrementalReport {
-                graphs_retained: 7,
-                graphs_resurrected: 2,
-                ip_recomputes: 3,
-                ip_recomputes_skipped: 4,
-                undo_entries: 2,
-                redo_entries: 1,
-                journal_bytes: 640,
-                snapshot_bytes: 9_000,
-            },
-        );
+        obs.record_sections(&SectionsReport {
+            arrays_classified: 2,
+            exposed_bottom: 1,
+            privatizable: 1,
+        });
+        let mut r = obs.report();
+        r.cache = CacheReport { pair_hits: 5, pair_misses: 3, graphs_built: 2, graphs_reused: 1 };
+        r.incremental = IncrementalReport {
+            graphs_retained: 7,
+            graphs_resurrected: 2,
+            ip_recomputes: 3,
+            ip_recomputes_skipped: 4,
+            undo_entries: 2,
+            redo_entries: 1,
+            journal_bytes: 640,
+            snapshot_bytes: 9_000,
+        };
         r.serve = ServeReport {
             requests: 12,
             errors: 1,
@@ -1065,6 +909,14 @@ mod tests {
         r
     }
 
+    /// The emitted JSON and the `profile` text are pinned byte for byte.
+    #[test]
+    fn json_and_text_match_golden_files() {
+        let r = sample_report();
+        assert_eq!(r.to_json().to_string_pretty(), include_str!("../golden/sample_report.json"));
+        assert_eq!(r.render_text(), include_str!("../golden/sample_report.txt"));
+    }
+
     #[test]
     fn json_round_trip_is_exact() {
         let r = sample_report();
@@ -1089,107 +941,65 @@ mod tests {
         }
     }
 
+    /// Drops the top-level `key` from the sample report and asserts the
+    /// rejection names it.
+    fn assert_requires(key: &str) {
+        let Json::Obj(doc) = sample_report().to_json() else { unreachable!() };
+        assert!(doc.iter().any(|(k, _)| k == key), "no top-level '{key}'");
+        let without = Json::Obj(doc.iter().filter(|(k, _)| k != key).cloned().collect());
+        let err = ProfileReport::from_json(&without).unwrap_err();
+        assert!(err.contains(&format!("'{key}'")), "without {key}: {err}");
+    }
+
+    /// Every top-level key but the informational `tool` is required.
+    #[test]
+    fn report_requires_every_section() {
+        let Json::Obj(doc) = sample_report().to_json() else { unreachable!() };
+        let keys: Vec<&String> = doc.iter().map(|(k, _)| k).filter(|k| *k != "tool").collect();
+        for key in &keys {
+            assert_requires(key);
+        }
+        assert_eq!(keys.len(), 15, "schema_version, engine, enabled and 12 sections");
+    }
+
     #[test]
     fn v2_report_requires_incremental_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "incremental");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("incremental"), "{err}");
+        assert_requires("incremental");
     }
 
     #[test]
     fn v3_report_requires_scheduler_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "scheduler");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("scheduler"), "{err}");
+        assert_requires("scheduler");
     }
 
     #[test]
     fn v4_report_requires_validation_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "validation");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("validation"), "{err}");
-    }
-
-    #[test]
-    fn v6_report_requires_serve_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "serve");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("serve"), "{err}");
-    }
-
-    #[test]
-    fn v7_report_requires_sections_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "sections");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("sections"), "{err}");
-    }
-
-    #[test]
-    fn v8_report_requires_campaign_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "campaign");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("campaign"), "{err}");
-    }
-
-    #[test]
-    fn v9_report_requires_autopilot_section() {
-        let r = sample_report();
-        let mut v = r.to_json().to_string_compact();
-        strip_section(&mut v, "autopilot");
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("autopilot"), "{err}");
-    }
-
-    #[test]
-    fn autopilot_counters_survive_round_trip() {
-        let r = sample_report();
-        let back = ProfileReport::from_json_str(&r.to_json().to_string_compact()).unwrap();
-        assert_eq!(back.autopilot, r.autopilot);
-        assert!(
-            r.render_text().contains("autopilot: 18 candidates"),
-            "{}",
-            r.render_text()
-        );
-    }
-
-    #[test]
-    fn campaign_counters_survive_round_trip() {
-        let r = sample_report();
-        let back = ProfileReport::from_json_str(&r.to_json().to_string_compact()).unwrap();
-        assert_eq!(back.campaign, r.campaign);
-        assert!(r.render_text().contains("campaign: 200 seeds"), "{}", r.render_text());
-    }
-
-    #[test]
-    fn sections_counters_survive_round_trip() {
-        let r = sample_report();
-        assert_eq!(
-            r.sections,
-            SectionsReport { arrays_classified: 2, exposed_bottom: 1, privatizable: 1 }
-        );
-        let back = ProfileReport::from_json_str(&r.to_json().to_string_compact()).unwrap();
-        assert_eq!(back.sections, r.sections);
-        assert!(r.render_text().contains("sections: 2 arrays classified"), "{}", r.render_text());
+        assert_requires("validation");
     }
 
     #[test]
     fn v5_report_requires_engine_field() {
-        let r = sample_report();
-        let v = r.to_json().to_string_compact().replacen(",\"engine\":\"bytecode\"", "", 1);
-        let err = ProfileReport::from_json_str(&v).unwrap_err();
-        assert!(err.contains("engine"), "{err}");
+        assert_requires("engine");
+    }
+
+    #[test]
+    fn v6_report_requires_serve_section() {
+        assert_requires("serve");
+    }
+
+    #[test]
+    fn v7_report_requires_sections_section() {
+        assert_requires("sections");
+    }
+
+    #[test]
+    fn v8_report_requires_campaign_section() {
+        assert_requires("campaign");
+    }
+
+    #[test]
+    fn v9_report_requires_autopilot_section() {
+        assert_requires("autopilot");
     }
 
     #[test]
@@ -1222,11 +1032,7 @@ mod tests {
     fn empty_report_from_disabled_registry() {
         let obs = Obs::new();
         obs.record_pair(TestKind::Ziv, PairVerdict::Proven);
-        let r = ProfileReport::from_snapshot(
-            &obs.snapshot(),
-            CacheReport::default(),
-            IncrementalReport::default(),
-        );
+        let r = obs.report();
         assert_eq!(r, ProfileReport::empty());
         assert_eq!(r.total_edges(), 0);
         assert_eq!(r.total_pairs(), 0);
@@ -1237,11 +1043,9 @@ mod tests {
         let r = sample_report();
         assert_eq!(r.total_pairs(), 2);
         assert_eq!(r.total_edges(), 2);
-        assert!((r.cache.pair_hit_rate() - 5.0 / 8.0).abs() < 1e-12);
-        assert!((r.cache.graph_reuse_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(CacheReport::default().pair_hit_rate(), 0.0);
+        assert_eq!(percent(5, 8), 62.5);
+        assert_eq!(percent(0, 0), 0.0);
         let text = r.render_text();
-        assert!(text.contains("dep_test") || text.contains("strong_siv"));
-        assert!(text.contains("hit rate"));
+        assert!(text.contains("(62.5% hit rate)") && text.contains("(33.3% reuse)"), "{text}");
     }
 }

@@ -16,7 +16,7 @@
 //! * [`StepBudget`] — one shared atomic statement budget, so the global
 //!   `max_steps` runaway guard holds across all workers combined;
 //! * [`SchedStats`] — chunk/steal/iteration counters surfaced through the
-//!   profile report (schema v3).
+//!   profile report's `scheduler` block.
 //!
 //! Everything here is hand-rolled on `std` primitives — no external
 //! crates — and deliberately simple: the unit of stealing is a chunk
@@ -234,7 +234,7 @@ impl StepBudget {
 // -------------------------------------------------------------- counters ----
 
 /// Scheduler counters accumulated over a run; exported through the
-/// profile report (schema v3).
+/// profile report's `scheduler` block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SchedStats {
     /// `PARALLEL DO` invocations dispatched to the pool.

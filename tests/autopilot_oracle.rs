@@ -9,6 +9,7 @@
 //! must leave the session exactly as the search found it: same source,
 //! same canonical dependence graphs, an empty undo/redo journal.
 
+use ped_core::equiv::unspecified_privates;
 use ped_core::{AutopilotConfig, Ped};
 use ped_runtime::{interp, Engine, ExecConfig, ParallelMode, Schedule};
 use ped_workloads::generator::{gen_source, GenConfig};
@@ -34,29 +35,6 @@ fn all_modes() -> Vec<ExecConfig> {
         }
     }
     configs
-}
-
-/// Main-unit scalars `private` but not `lastprivate` in some parallel
-/// loop of `src`: unspecified after the loop, excluded from threaded
-/// memory comparisons.
-fn unspecified_privates(src: &str) -> Vec<String> {
-    let program = ped_fortran::parse_program(src).expect("source parses");
-    let main = program.main().expect("has a main unit");
-    let mut names = Vec::new();
-    for stmt in &main.stmts {
-        if let ped_fortran::StmtKind::Do(d) = &stmt.kind {
-            if let Some(info) = &d.parallel {
-                for &p in &info.private {
-                    if !info.lastprivate.contains(&p) {
-                        names.push(main.symbols.name(p).to_string());
-                    }
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
 }
 
 /// Compare a transformed run's memory against the untransformed
@@ -102,7 +80,7 @@ fn autopilot_plans_are_bit_identical_over_generated_seeds() {
         assert!(out.notes.is_empty(), "{label}: {:?}", out.notes);
 
         let transformed = ped.source();
-        let skip = unspecified_privates(&transformed);
+        let skip = unspecified_privates(ped.program());
         let ref_threaded: Vec<_> =
             ref_mem.iter().filter(|(n, _)| !skip.contains(n)).cloned().collect();
         for config in all_modes() {

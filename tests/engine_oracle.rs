@@ -12,6 +12,7 @@
 //! INT_MIN subscripts, division overflow, budget-abort parity) pin down
 //! the faults that used to hide behind the tree walker's Rust panics.
 
+use ped_core::equiv::unspecified_privates;
 use ped_runtime::{interp, Engine, ExecConfig, ParallelMode, Schedule};
 
 fn tree(config: ExecConfig) -> ExecConfig {
@@ -37,35 +38,11 @@ fn threaded_configs() -> Vec<ExecConfig> {
     configs
 }
 
-/// Scalars of the main unit that are `private` (but not `lastprivate`) in
-/// some parallel loop: their post-loop value is unspecified, so threaded
-/// memory comparisons exclude them. (Serial-vs-serial comparisons keep
-/// everything — both engines iterate in program order.)
-fn unspecified_privates(src: &str) -> Vec<String> {
-    let program = ped_fortran::parse_program(src).expect("source parses");
-    let main = program.main().expect("has a main unit");
-    let mut names = Vec::new();
-    for stmt in &main.stmts {
-        if let ped_fortran::StmtKind::Do(d) = &stmt.kind {
-            if let Some(info) = &d.parallel {
-                for &p in &info.private {
-                    if !info.lastprivate.contains(&p) {
-                        names.push(main.symbols.name(p).to_string());
-                    }
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
 /// Tree serial is the oracle; bytecode must match it bitwise in serial
 /// (printed, memory, steps, vtime) and across every threaded schedule
 /// (printed, memory minus unspecified privates).
 fn assert_engines_agree(label: &str, src: &str) {
-    let skip = unspecified_privates(src);
+    let skip = unspecified_privates(&ped_fortran::parse_program(src).expect("source parses"));
     let (oracle, oracle_mem) = interp::run_source_with_memory(src, tree(ExecConfig::default()))
         .unwrap_or_else(|e| panic!("{label}: tree serial: {e}"));
     let (fast, fast_mem) = interp::run_source_with_memory(src, bytecode(ExecConfig::default()))

@@ -1,11 +1,15 @@
 //! Round-trip and emptiness tests for the observability layer's profile
 //! report: emit from a suite program, parse back, check the schema
 //! version, the phase names, and that the dependence-test histogram
-//! accounts for every graph edge; and verify that a session with
-//! instrumentation off produces the all-empty report.
+//! accounts for every graph edge; verify that a session with
+//! instrumentation off produces the all-empty report; and check that every
+//! run, `check` runs included, folds into one loop-profile row per loop.
 
-use ped_core::{Ped, ProfileReport, PROFILE_SCHEMA_VERSION};
+use ped_core::{autoparallelize, Ped, ProfileReport, PROFILE_SCHEMA_VERSION};
 use ped_obs::json::Json;
+use ped_runtime::{ExecConfig, ParallelMode};
+
+const STENCIL: &str = include_str!("../examples/fortran/stencil.f");
 
 fn suite_source() -> String {
     ped_workloads::program_by_name("onedim")
@@ -76,7 +80,7 @@ fn profile_report_contents_match_session() {
     // The run's loop profiles were folded in.
     assert_eq!(report.loop_profiles.len(), run.profile.len());
 
-    // The v7 sections block counts the arrays each graph build classified.
+    // The sections block counts the arrays each graph build classified.
     assert!(report.sections.arrays_classified > 0, "{:?}", report.sections);
 
     // Re-requesting a cached graph bumps the reuse counter.
@@ -86,7 +90,7 @@ fn profile_report_contents_match_session() {
     assert_eq!(ped.profile_report().cache.graphs_reused, before + 1);
 }
 
-/// The v5 `engine` field tracks the most recent run's effective engine.
+/// The `engine` field tracks the most recent run's effective engine.
 #[test]
 fn report_stamps_the_run_engine() {
     let src = suite_source();
@@ -127,7 +131,7 @@ fn profiling_toggles_mid_session() {
     assert_eq!(ped.profile_report(), ProfileReport::empty());
 }
 
-/// The v2 `incremental` section reflects what the session actually did:
+/// The `incremental` section reflects what the session actually did:
 /// a transform journals one delta, its undo resurrects retired graphs, and
 /// summary-preserving edits are absorbed without an ip recompute.
 #[test]
@@ -177,4 +181,41 @@ fn validator_rejects_tampered_reports() {
     }
     assert!(ProfileReport::from_json_str("{not json").is_err());
     assert!(ProfileReport::from_json_str("{}").is_err());
+}
+
+/// A profiled `check` is a run like any other: its interpret time and loop
+/// profiles land in the report, and a later run of the same program folds
+/// into the same rows instead of listing every loop again.
+#[test]
+fn check_runs_fold_into_one_row_per_loop() {
+    let mut ped = Ped::open_profiled(STENCIL).unwrap();
+    ped.analyze_all();
+    ped.check(ExecConfig::default()).unwrap();
+    let once = ped.profile_report();
+    assert_eq!(once.validation.checks, 1);
+    assert_eq!(once.loop_profiles.len(), 4, "stencil.f has four loops, all executed");
+
+    ped.run(ExecConfig::default()).unwrap();
+    let twice = ped.profile_report();
+    let interpret = twice.phases.iter().find(|p| p.name == "interpret").unwrap();
+    assert_eq!(interpret.calls, 2, "the check and the run are both timed");
+    assert_eq!(twice.loop_profiles.len(), 4, "one row per loop, summed over runs");
+    for (a, b) in once.loop_profiles.iter().zip(&twice.loop_profiles) {
+        assert_eq!((&a.unit, a.stmt), (&b.unit, b.stmt));
+        assert_eq!((b.invocations, b.iterations), (2 * a.invocations, 2 * a.iterations));
+    }
+}
+
+/// A threaded `check` dispatches its parallel loops to the pool like a
+/// threaded run, and the scheduler block counts them.
+#[test]
+fn threaded_check_counts_in_the_scheduler_block() {
+    let mut ped = Ped::open_profiled(STENCIL).unwrap();
+    assert!(autoparallelize(&mut ped) > 0);
+    let threads = ExecConfig { mode: ParallelMode::Threads(2), ..ExecConfig::default() };
+    ped.run(threads).unwrap();
+    let run_only = ped.profile_report().scheduler.parallel_loops;
+    assert!(run_only > 0);
+    ped.check(threads).unwrap();
+    assert_eq!(ped.profile_report().scheduler.parallel_loops, 2 * run_only);
 }

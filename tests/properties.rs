@@ -12,6 +12,7 @@
 //! running the named test again, and the failing case prints its own
 //! construction parameters.
 
+use ped_core::equiv::unspecified_privates;
 use ped_dep::driver::test_pair;
 use ped_dep::nest::{LoopCtx, NestCtx};
 use ped_dep::oracle::{covers, enumerate_deps, OracleLoop};
@@ -215,31 +216,6 @@ fn parallelization_preserves_semantics() {
     }
 }
 
-/// Scalars of the main unit that are `private` (but not `lastprivate`) in
-/// some parallel loop. Their post-loop value is unspecified by the dialect
-/// — serial leaves the last iteration's value, a worker pool leaves some
-/// worker's — so the memory comparison excludes them. Everything else
-/// (arrays, reductions, lastprivates, loop variables) must match bitwise.
-fn unspecified_privates(src: &str) -> Vec<String> {
-    let program = ped_fortran::parse_program(src).expect("source parses");
-    let main = program.main().expect("has a main unit");
-    let mut names = Vec::new();
-    for stmt in &main.stmts {
-        if let ped_fortran::StmtKind::Do(d) = &stmt.kind {
-            if let Some(info) = &d.parallel {
-                for &p in &info.private {
-                    if !info.lastprivate.contains(&p) {
-                        names.push(main.symbols.name(p).to_string());
-                    }
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
 /// Serial, simulated, and threaded execution agree *exactly*: identical
 /// printed output (full-precision float formatting, so string equality is
 /// bit equality) and bit-identical final memory, across schedules and
@@ -259,7 +235,7 @@ fn execution_modes_agree_bitwise() {
         let mut ped = ped_core::Ped::open(&src).unwrap();
         let converted = ped_bench::parallelize_everything(&mut ped);
         let par_src = ped.source();
-        let skip = unspecified_privates(&par_src);
+        let skip = unspecified_privates(ped.program());
 
         let (serial, serial_mem) =
             interp::run_source_with_memory(&par_src, ExecConfig::default())
