@@ -31,8 +31,8 @@
 //! scheduler counters end to end.
 
 use ped_bench::harness::fmt_ns;
-use ped_bench::{apply_suite_assertions, parallelize_everything, Table};
-use ped_core::Ped;
+use ped_bench::{apply_suite_assertions, Table};
+use ped_core::{autoparallelize, Ped};
 use ped_obs::json::Json;
 use ped_runtime::{interp, Engine, ExecConfig, Machine, ParallelMode, Schedule};
 use ped_workloads::all_programs;
@@ -289,7 +289,7 @@ fn main() {
             .unwrap_or_else(|e| panic!("{} serial: {e}", w.name));
         let mut ped = Ped::open(w.source).unwrap();
         apply_suite_assertions(&mut ped, w.name);
-        let converted = parallelize_everything(&mut ped);
+        let converted = autoparallelize(&mut ped);
         let par_src = ped.source();
         for &t in &THREADS {
             let config = ExecConfig {

@@ -17,9 +17,9 @@
 //! zero unobserved static edges. Results land in `target/BENCH_E15.json`
 //! (with a profile report carrying the validation and sections blocks).
 
+use ped_bench::apply_suite_assertions;
 use ped_bench::harness::{bench, fmt_ns};
-use ped_bench::{apply_suite_assertions, parallelize_everything};
-use ped_core::{Ped, RaceVerdict};
+use ped_core::{autoparallelize, Ped, RaceVerdict};
 use ped_obs::json::Json;
 use ped_runtime::ExecConfig;
 use ped_workloads::{all_programs, racy};
@@ -59,7 +59,7 @@ fn main() {
     let mut ped = Ped::open(w.source).unwrap();
     let rejected = apply_suite_assertions(&mut ped, "onedim");
     assert!(rejected > 0, "the permutation assertion must delete pending deps");
-    parallelize_everything(&mut ped);
+    autoparallelize(&mut ped);
     let valid = ped.check(ExecConfig::default()).unwrap();
     assert!(valid.clean(), "valid permutation must be clean:\n{}", valid.render_text());
     assert!(valid.validated_deletions > 0, "deletions must be validated");
@@ -70,7 +70,7 @@ fn main() {
 
     let mut mutated = Ped::open(&racy::onedim_duplicate_index()).unwrap();
     apply_suite_assertions(&mut mutated, "onedim");
-    parallelize_everything(&mut mutated);
+    autoparallelize(&mut mutated);
     let caught = mutated.check(ExecConfig::default()).unwrap();
     assert!(!caught.clean(), "duplicate index must race");
     let finding = caught.races().next().unwrap();
@@ -90,7 +90,7 @@ fn main() {
     for w in all_programs() {
         let mut ped = Ped::open(w.source).unwrap();
         apply_suite_assertions(&mut ped, w.name);
-        parallelize_everything(&mut ped);
+        autoparallelize(&mut ped);
         let r = ped.check(ExecConfig::default()).unwrap();
         assert!(r.clean(), "{} must be race-free:\n{}", w.name, r.render_text());
         println!(
@@ -118,7 +118,7 @@ fn main() {
     let w = ped_workloads::program_by_name("spec77").unwrap();
     let mut ped = Ped::open(w.source).unwrap();
     apply_suite_assertions(&mut ped, w.name);
-    parallelize_everything(&mut ped);
+    autoparallelize(&mut ped);
     let src = ped.source();
     let (off_a, off_b) = interleaved_off_medians(&src, 30);
     let on = bench("shadow_on", 30, || {

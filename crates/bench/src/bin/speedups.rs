@@ -9,8 +9,10 @@
 //! Ped wins where outer-loop parallelism exists, and granularity decides
 //! the crossovers.
 
-use ped_bench::{apply_suite_assertions, parallelize_everything, parallelize_innermost_auto, parallelize_profitable, Table};
-use ped_core::Ped;
+use ped_bench::{
+    apply_suite_assertions, parallelize_innermost_auto, parallelize_profitable, Table,
+};
+use ped_core::{autoparallelize, Ped};
 use ped_runtime::{ExecConfig, Machine, ParallelMode};
 use ped_workloads::all_programs;
 
@@ -39,7 +41,7 @@ fn main() {
         };
         let mut ped = Ped::open(w.source).unwrap();
         apply_suite_assertions(&mut ped, w.name);
-        parallelize_everything(&mut ped);
+        autoparallelize(&mut ped);
         let sp = |p: usize| serial / vtime(&ped, p);
         // Profitability-gated variant (estimator-guided navigation).
         let est8 = {

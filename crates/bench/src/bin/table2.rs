@@ -4,8 +4,8 @@
 //! assistants played) and records which catalog transformations were
 //! actually applied to reach the parallel version.
 
-use ped_bench::{apply_suite_assertions, parallelize_everything, Table};
-use ped_core::Ped;
+use ped_bench::{apply_suite_assertions, Table};
+use ped_core::{autoparallelize, Ped};
 use ped_transform::Xform;
 use ped_workloads::all_programs;
 
@@ -54,7 +54,7 @@ fn main() {
         }
 
         // Parallelize whatever is now parallel; count reductions/privates.
-        let n = parallelize_everything(&mut ped);
+        let n = autoparallelize(&mut ped);
         if n > 0 {
             used.push(format!("parallelize ({n} loops)"));
         }

@@ -67,18 +67,6 @@ pub fn apply_suite_assertions(ped: &mut Ped, name: &str) -> usize {
     rejected
 }
 
-/// Convert every currently-parallelizable loop into a `PARALLEL DO`
-/// (outermost-first, skipping loops nested inside an already-parallel
-/// one). Loops blocked only by dependences on section-privatizable arrays
-/// convert via `ArrayPrivatize`. Returns how many loops were converted.
-///
-/// This is [`ped_core::autoparallelize`] — one policy shared with the
-/// `ped --autopar` CLI and the campaign engine, re-exported here so the
-/// experiment binaries keep their historical name.
-pub fn parallelize_everything(ped: &mut Ped) -> usize {
-    ped_core::autoparallelize(ped)
-}
-
 /// Parallelize only loops the static estimator predicts profitable — the
 /// performance-guided workflow the paper's users wanted (E6). Returns the
 /// number converted.
@@ -243,7 +231,7 @@ mod tests {
             .unwrap();
             let mut ped = Ped::open(w.source).unwrap();
             apply_suite_assertions(&mut ped, w.name);
-            let n = parallelize_everything(&mut ped);
+            let n = ped_core::autoparallelize(&mut ped);
             let sim = ped
                 .run(ped_runtime::ExecConfig {
                     mode: ped_runtime::ParallelMode::Simulate(

@@ -400,6 +400,7 @@ fn campaign_main(cfg: &CampaignConfig, json: bool, profile: bool) {
     if profile {
         let mut rep = ProfileReport::empty();
         rep.campaign = out.campaign_report();
+        rep.autopilot = out.autopilot.clone();
         rep.cache.pair_hits = out.cache.hits;
         rep.cache.pair_misses = out.cache.misses;
         println!("{}", rep.to_json().to_string_pretty());

@@ -26,7 +26,7 @@ use crate::session::Ped;
 use ped_dep::{CacheStats, PairCache};
 use ped_fortran::Program;
 use ped_obs::json::Json;
-use ped_obs::CampaignReport;
+use ped_obs::{AutopilotReport, CampaignReport};
 use ped_runtime::{interp, Engine, ExecConfig, Machine, ParallelMode, Schedule};
 use ped_workloads::generator::{gen_source_into, GenConfig};
 use std::collections::BTreeMap;
@@ -113,6 +113,10 @@ pub struct CampaignOutcome {
     pub loops_total: u64,
     /// Loops converted to `PARALLEL DO` by autopar.
     pub loops_parallelized: u64,
+    /// The planner's search counters summed over clean seeds (zero unless
+    /// the campaign ran `--autopilot`). The calibration ratios stay zero:
+    /// the campaign never measures.
+    pub autopilot: AutopilotReport,
     /// Per-stage nanoseconds summed across workers (CPU time, not wall).
     pub stage_ns: [u64; 5],
     /// Wall-clock nanoseconds for the whole campaign.
@@ -254,6 +258,7 @@ impl CampaignOutcome {
 struct SeedOutcome {
     loops_total: usize,
     loops_parallelized: usize,
+    autopilot: AutopilotReport,
     stage_ns: [u64; 5],
     discrepancy: Option<Discrepancy>,
 }
@@ -309,6 +314,7 @@ fn aggregate(rx: mpsc::Receiver<SeedOutcome>, workers: usize) -> CampaignOutcome
     let mut seeds = 0usize;
     let mut loops_total = 0u64;
     let mut loops_parallelized = 0u64;
+    let mut autopilot = AutopilotReport::default();
     let mut stage_ns = [0u64; 5];
     let mut conservatism: BTreeMap<usize, u64> = BTreeMap::new();
     let mut discrepancies = Vec::new();
@@ -316,6 +322,12 @@ fn aggregate(rx: mpsc::Receiver<SeedOutcome>, workers: usize) -> CampaignOutcome
         seeds += 1;
         loops_total += out.loops_total as u64;
         loops_parallelized += out.loops_parallelized as u64;
+        let a = &out.autopilot;
+        autopilot.candidates += a.candidates;
+        autopilot.pruned_unsafe += a.pruned_unsafe;
+        autopilot.pruned_unprofitable += a.pruned_unprofitable;
+        autopilot.plans_applied += a.plans_applied;
+        autopilot.plans_rejected += a.plans_rejected;
         for (acc, ns) in stage_ns.iter_mut().zip(out.stage_ns) {
             *acc += ns;
         }
@@ -332,6 +344,7 @@ fn aggregate(rx: mpsc::Receiver<SeedOutcome>, workers: usize) -> CampaignOutcome
         workers,
         loops_total,
         loops_parallelized,
+        autopilot,
         stage_ns,
         elapsed_ns: 0,
         conservatism: conservatism.into_iter().collect(),
@@ -363,25 +376,28 @@ fn run_seed(
         session,
         &mut stage_ns,
     );
-    let (counts, discrepancy) = match result {
-        Ok(counts) => (counts, None),
-        Err((class, detail, source)) => {
-            let d = minimize_and_record(cfg, seed, shared, class, detail, source);
-            ((0, 0), Some(d))
-        }
-    };
-    SeedOutcome {
-        loops_total: counts.0,
-        loops_parallelized: counts.1,
-        stage_ns,
-        discrepancy,
+    match result {
+        Ok((loops_total, loops_parallelized, autopilot)) => SeedOutcome {
+            loops_total,
+            loops_parallelized,
+            autopilot,
+            stage_ns,
+            discrepancy: None,
+        },
+        Err((class, detail, source)) => SeedOutcome {
+            loops_total: 0,
+            loops_parallelized: 0,
+            autopilot: AutopilotReport::default(),
+            stage_ns,
+            discrepancy: Some(minimize_and_record(cfg, seed, shared, class, detail, source)),
+        },
     }
 }
 
 /// The per-program oracle: analyze → \[autopar\] → (mutate) → shadow
-/// check → cross-engine/mode bit-equality. `Ok((loops, parallelized))` on
-/// a clean pass; `Err((class, detail, failing_source))` at the first
-/// discrepancy. Both the campaign workers and the minimizer run
+/// check → cross-engine/mode bit-equality. `Ok((loops, parallelized,
+/// planner counters))` on a clean pass; `Err((class, detail,
+/// failing_source))` at the first discrepancy. Both the campaign workers and the minimizer run
 /// candidates through this same function, so a reproducer fails the exact
 /// oracle that flagged it — except that replay passes `autopar = false`:
 /// the captured source is already post-autopar, and re-running the
@@ -396,7 +412,7 @@ fn pipeline(
     shared: Option<&Arc<PairCache>>,
     session: &mut Option<Ped>,
     stage_ns: &mut [u64; 5],
-) -> Result<(usize, usize), (String, String, String)> {
+) -> Result<(usize, usize, AutopilotReport), (String, String, String)> {
     // Analyze: parse into the recycled session and fan out graph builds.
     let t = Instant::now();
     let loops_total = {
@@ -431,7 +447,7 @@ fn pipeline(
     // Autopar: convert every provably-safe loop.
     let t = Instant::now();
     let ped = session.as_mut().expect("session is open");
-    let converted = if autopar && autopilot {
+    let (converted, planner) = if autopar && autopilot {
         // Planner-driven stage: search, score, apply. Verification is
         // deliberately off — the campaign's own check and equivalence
         // stages cross-check whatever the planner applied, which is the
@@ -446,7 +462,7 @@ fn pipeline(
                 *session = None;
                 return Err(("analyzer-panic".into(), panic_text(panic), src.to_string()));
             }
-            Ok(out) => out.stats.plans_applied as usize,
+            Ok(out) => (out.stats.plans_applied as usize, out.stats),
         }
     } else if autopar {
         match catch_unwind(AssertUnwindSafe(|| autoparallelize(ped))) {
@@ -454,10 +470,10 @@ fn pipeline(
                 *session = None;
                 return Err(("analyzer-panic".into(), panic_text(panic), src.to_string()));
             }
-            Ok(n) => n,
+            Ok(n) => (n, AutopilotReport::default()),
         }
     } else {
-        0
+        (0, AutopilotReport::default())
     };
     stage_ns[2] += t.elapsed().as_nanos() as u64;
 
@@ -509,7 +525,7 @@ fn pipeline(
     let equiv = check_equivalence(ped.program(), &reference, ref_mem);
     stage_ns[4] += t.elapsed().as_nanos() as u64;
     match equiv {
-        Ok(()) => Ok((loops_total, converted)),
+        Ok(()) => Ok((loops_total, converted, planner)),
         Err((class, detail)) => Err((class, detail, par_src)),
     }
 }
@@ -826,6 +842,10 @@ mod tests {
         assert_eq!(out.seeds, 12);
         assert!(out.clean(), "autopilot discrepancies: {:?}", out.discrepancies);
         assert!(out.loops_total > 0);
+        // The planner's counters reach the outcome: what it searched, and
+        // one applied plan per parallelized loop.
+        assert!(out.autopilot.candidates > 0, "{:?}", out.autopilot);
+        assert_eq!(out.autopilot.plans_applied, out.loops_parallelized);
     }
 
     #[test]

@@ -203,9 +203,9 @@ pub struct Ped {
     /// here; only an explicit edit resets the counter — the E10 experiment
     /// reads it as "work done to re-answer queries after an edit".
     pub reanalysis_count: usize,
-    /// Engine of the most recent [`Ped::run`] (effective, after mode
-    /// fallbacks), stamped into the profile report. `true` means the tree
-    /// walker; the default is the bytecode engine.
+    /// Engine of the most recent [`Ped::run`], stamped into the profile
+    /// report. `true` means the tree walker; the default is the bytecode
+    /// engine.
     last_run_tree: std::sync::atomic::AtomicBool,
 }
 
@@ -1216,7 +1216,7 @@ impl Ped {
         capture_memory: bool,
     ) -> Result<(ped_runtime::RunResult, ped_runtime::MemorySnapshot), PedError> {
         self.last_run_tree.store(
-            config.effective_engine() == ped_runtime::Engine::Tree,
+            config.engine == ped_runtime::Engine::Tree,
             std::sync::atomic::Ordering::Relaxed,
         );
         let (result, memory) = {

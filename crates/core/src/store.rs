@@ -320,43 +320,6 @@ fn binop_parse(s: &str) -> Option<BinOp> {
     })
 }
 
-fn intrinsic_code(op: Intrinsic) -> &'static str {
-    match op {
-        Intrinsic::Min => "min",
-        Intrinsic::Max => "max",
-        Intrinsic::Mod => "mod",
-        Intrinsic::Abs => "abs",
-        Intrinsic::Sqrt => "sqrt",
-        Intrinsic::Sin => "sin",
-        Intrinsic::Cos => "cos",
-        Intrinsic::Exp => "exp",
-        Intrinsic::Log => "log",
-        Intrinsic::Float => "float",
-        Intrinsic::Int => "int",
-        Intrinsic::Dble => "dble",
-        Intrinsic::Sign => "sign",
-    }
-}
-
-fn intrinsic_parse(s: &str) -> Option<Intrinsic> {
-    Some(match s {
-        "min" => Intrinsic::Min,
-        "max" => Intrinsic::Max,
-        "mod" => Intrinsic::Mod,
-        "abs" => Intrinsic::Abs,
-        "sqrt" => Intrinsic::Sqrt,
-        "sin" => Intrinsic::Sin,
-        "cos" => Intrinsic::Cos,
-        "exp" => Intrinsic::Exp,
-        "log" => Intrinsic::Log,
-        "float" => Intrinsic::Float,
-        "int" => Intrinsic::Int,
-        "dble" => Intrinsic::Dble,
-        "sign" => Intrinsic::Sign,
-        _ => return None,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Expression round trip (AuxInduction steps embed arbitrary expressions).
 
@@ -401,7 +364,7 @@ fn expr_to_json(e: &Expr) -> Json {
         Expr::Intrinsic { op, args } => tag(
             "intr",
             vec![
-                ("op", Json::str(intrinsic_code(*op))),
+                ("op", Json::str(op.name())),
                 ("args", Json::Arr(args.iter().map(expr_to_json).collect())),
             ],
         ),
@@ -444,7 +407,7 @@ fn expr_from_json(v: &Json) -> Option<Expr> {
             e: Box::new(expr_from_json(v.get("e")?)?),
         },
         "intr" => Expr::Intrinsic {
-            op: intrinsic_parse(v.get("op")?.as_str()?)?,
+            op: Intrinsic::from_name(v.get("op")?.as_str()?)?,
             args: exprs("args")?,
         },
         "call" => Expr::Call { name: v.get("name")?.as_str()?.to_string(), args: exprs("args")? },

@@ -35,8 +35,8 @@
 //! a fresh register file.
 
 use crate::interp::{
-    const_value, eval_bin, eval_intrinsic, eval_neg, num2, ExecState, Flow, Interp, ParallelMode,
-    RtError,
+    const_value, eval_bin, eval_intrinsic, eval_neg, num2, ChunkTap, ExecState, Flow, Interp,
+    IterSpace, RtError,
 };
 use crate::memory::{ArrayCell, Cell, Frame};
 use crate::value::Value;
@@ -47,10 +47,18 @@ use ped_fortran::{
 };
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A straight-line block of instructions (plus internal forward jumps).
 pub(crate) type Code = Vec<Inst>;
+
+/// A loop body as one engine runs it (see [`Interp::drive`]).
+#[derive(Clone, Copy)]
+pub(crate) enum LoopBody<'b> {
+    /// The walker's statements (chunks of tree-engine jobs).
+    Tree(&'b [StmtId]),
+    /// Register code, with its straight-line fast form when it has one.
+    Code(&'b Code, Option<&'b FastBody>),
+}
 
 /// One instruction: opcode plus its pre-charged cost.
 ///
@@ -1904,12 +1912,12 @@ impl<'p> Interp<'p> {
     ///
     /// `red_bufs` receives reduction operands from `RedLog` ops, one
     /// buffer per `reduction(...)` clause entry — `Some` only in worker
-    /// chunks of a `red_ok` body (serial runs pass `None`; the logs
-    /// would be discarded). A faulting iteration may leave its partial
-    /// operands in the buffers: an erroring parallel loop returns before
-    /// the merge ever replays them.
+    /// chunks (serial runs pass `None`; the logs would be discarded). A
+    /// faulting iteration may leave its partial operands in the buffers:
+    /// an erroring parallel loop returns before the merge ever replays
+    /// them.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn fast_iter(
+    fn fast_iter(
         &self,
         unit: &ProgramUnit,
         fb: &FastBody,
@@ -2066,7 +2074,7 @@ impl<'p> Interp<'p> {
     /// faulting op's unreached charges roll back and the faulting
     /// iteration's value is returned for the loop-variable store.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn typed_run(
+    fn typed_run(
         &self,
         unit: &ProgramUnit,
         fb: &FastBody,
@@ -2186,9 +2194,9 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    /// Execute a compiled DO loop: analytic trip count (no value vector on
-    /// the serial path), walker-identical charging, shadow scoping,
-    /// profiling, and pool dispatch for `PARALLEL DO` under Threads mode.
+    /// Execute a compiled DO loop: analytic trip count (no value vector),
+    /// walker-identical charging, and the chunk path for a `PARALLEL DO`
+    /// that forks.
     fn bexec_do(
         &self,
         unit_idx: usize,
@@ -2198,192 +2206,171 @@ impl<'p> Interp<'p> {
         state: &mut ExecState<'_>,
         regs: &mut Vec<Value>,
     ) -> Result<Flow, RtError> {
-        let unit = &self.program.units[unit_idx];
         let cl = &cu.dos[i as usize];
         let d = cl.d;
-        let lo = regs[cl.lo as usize].as_int();
-        let hi = regs[cl.hi as usize].as_int();
-        let step = match cl.step {
-            Some(r) => regs[r as usize].as_int(),
-            None => 1,
-        };
-        if step == 0 {
-            return Err(RtError::new("DO step is zero"));
-        }
-        let count: u64 = if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
-            0
-        } else {
-            ((hi as i128 - lo as i128) / step as i128 + 1) as u64
-        };
+        let step = cl.step.map_or(1, |r| regs[r as usize].as_int());
+        let space =
+            IterSpace::new(regs[cl.lo as usize].as_int(), regs[cl.hi as usize].as_int(), step)?;
+        self.scoped_do(unit_idx, cl.sid, d, frame, state, |state| {
+            let flow = if self.forks(d, state) {
+                self.run_parallel(unit_idx, d, space, frame, state, Some(i))?
+            } else {
+                let var_cell = self.cell(&self.program.units[unit_idx], frame, d.var)?;
+                let body = LoopBody::Code(&cl.body, cl.fast.as_ref());
+                self.drive(unit_idx, body, frame, state, regs, (d.var, var_cell), space, None)?
+            };
+            Ok((flow, space.count))
+        })
+    }
 
-        let vt0 = state.vtime;
-        let wall0 = Instant::now();
-        if state.shadow.is_some() {
-            // Same masking as the walker: a parallel loop's scope hides
-            // exactly what Threads mode rebinds per worker (private arrays
-            // stay watched in true-only mode); a serial DO hides nothing.
-            let (excluded, true_only) = match &d.parallel {
-                Some(info) => {
-                    crate::interp::shadow_masks(self.cell(unit, frame, d.var)?, info, frame)
-                }
-                None => Default::default(),
-            };
-            if let Some(sh) = state.shadow.as_mut() {
-                sh.push_scope(cl.sid, excluded, true_only);
+    /// The one iteration driver: the bytecode engine's serial DO and every
+    /// worker chunk (of either engine) run their iterations here.
+    ///
+    /// A straight-line body runs in fast form when nothing watches it:
+    /// cells resolve once, iterations charge in bulk (a typed burst covers
+    /// every iteration the budget grant does), and loop-variable reads use
+    /// the in-flight value, the cell getting the last value at the end —
+    /// mid-loop stores are unobservable without a shadow tap. Iterations
+    /// the grant can't cover outright take the slow path, whose per-tick
+    /// refill/abort is the walker's. A reduction watch normally rules the
+    /// fast form out: in a serial loop it belongs to an enclosing chunk's
+    /// loop, whose accumulators this body's `red_ok` says nothing about.
+    /// Only a chunk's own reductions (`tap` is `Some`) qualify, when every
+    /// accumulator store was recognized at compile time: spliced `RedLog`
+    /// ops then log the same operand stream `red_assign` would have.
+    ///
+    /// Every exit leaves the cells as the slow path would have: promoted
+    /// scalars are flushed and, on a fault, the loop variable holds the
+    /// faulting iteration's value.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn drive(
+        &self,
+        unit_idx: usize,
+        body: LoopBody<'_>,
+        frame: &Frame,
+        state: &mut ExecState<'_>,
+        regs: &mut Vec<Value>,
+        (var, var_cell): (SymId, &Arc<Cell>),
+        space: IterSpace,
+        mut tap: Option<&mut ChunkTap>,
+    ) -> Result<Flow, RtError> {
+        let unit = &self.program.units[unit_idx];
+        let fast = match body {
+            LoopBody::Code(_, Some(fb))
+                if state.shadow.is_none()
+                    && (state.red_watch.is_empty() || (tap.is_some() && fb.red_ok)) =>
+            {
+                self.fast_resolve(fb, frame, var_cell).map(|ctx| (fb, ctx))
+            }
+            _ => None,
+        };
+        if let Some((fb, _)) = &fast {
+            if regs.len() < fb.nregs {
+                regs.resize(fb.nregs, Value::Int(0));
             }
         }
-
-        let flow = if d.is_parallel()
-            && !state.in_parallel
-            && matches!(self.config.mode, ParallelMode::Threads(_))
-        {
-            let mut vals = Vec::with_capacity(count as usize);
-            for k in 0..count {
-                vals.push((lo as i128 + k as i128 * step as i128) as i64);
-            }
-            self.run_threads(unit_idx, d, &vals, frame, state, Some(i))?
-        } else {
-            let var_cell = self.cell(unit, frame, d.var)?.clone();
-            // Straight-line bodies run in fast form when nothing is
-            // watching: cells resolve once, iterations charge in bulk,
-            // and loop-variable reads use the in-flight value (the cell
-            // gets the final value after the loop — mid-loop stores are
-            // unobservable without a shadow tap). Iterations the budget
-            // grant can't cover outright fall through to the slow path,
-            // whose per-tick refill/abort is the walker's.
-            // `red_watch` here belongs to an ENCLOSING parallel loop
-            // watching its own accumulators — this serial loop's `red_ok`
-            // says nothing about those cells, so the body must route
-            // through the gated walker path regardless (serial runs never
-            // consume RedLog buffers; `None` is passed below).
-            let fast = match (&cl.fast, &state.shadow) {
-                (Some(fb), None) if state.red_watch.is_empty() => {
-                    self.fast_resolve(fb, frame, &var_cell).map(|ctx| (fb, ctx))
-                }
-                _ => None,
-            };
-            if let Some((fb, _)) = &fast {
-                if regs.len() < fb.nregs {
-                    regs.resize(fb.nregs, Value::Int(0));
+        let typed = match &fast {
+            Some((fb, ctx)) if ctx.typed_ok => fb.typed.as_ref(),
+            _ => None,
+        };
+        let (mut fregs, mut iregs) = match (&fast, typed) {
+            (Some((fb, _)), Some(_)) => (vec![0f64; fb.nregs], vec![0i64; fb.nslots()]),
+            _ => (Vec::new(), Vec::new()),
+        };
+        // While `promoted`, the body's scalars live in registers; the
+        // cells are reconciled (`flush`) at every exit from fast mode so
+        // anything that can observe them — a slow iteration, a fault
+        // path, the code after the loop — sees exactly what the slow path
+        // would have left there.
+        let mut promoted = false;
+        let flush = |fregs: &[f64], regs: &[Value]| {
+            if let Some((fb, ctx)) = &fast {
+                match typed {
+                    Some(tb) => tb.flush(fb, ctx, fregs),
+                    None => fb.flush(ctx, regs),
                 }
             }
-            let typed = match &fast {
-                Some((fb, ctx)) if ctx.typed_ok => fb.typed.as_ref(),
-                _ => None,
-            };
-            let (mut fregs, mut iregs) = match (&fast, typed) {
-                (Some((fb, _)), Some(_)) => {
-                    (vec![0f64; fb.nregs], vec![0i64; fb.nslots()])
-                }
-                _ => (Vec::new(), Vec::new()),
-            };
-            let mut flow = Flow::Normal;
-            let mut last = 0i64;
-            // While `promoted`, the body's scalars live in registers; the
-            // cells are reconciled (`flush`) at every exit from fast mode
-            // so anything that can observe them — a slow iteration, a
-            // fault path, the code after the loop — sees exactly what the
-            // slow path would have left there.
-            let mut promoted = false;
-            // Iteration values advance by wrapping add — identical to the
-            // walker's `(lo + k*step) as i64` truncation at every k.
-            let mut cur = lo;
-            let mut k: u64 = 0;
-            while k < count {
-                match &fast {
-                    Some((fb, ctx)) if state.granted >= fb.steps => {
-                        if let Some(tb) = typed {
-                            // Typed burst: run every remaining iteration
-                            // the grant covers in one call.
-                            if !promoted {
-                                tb.prologue(fb, ctx, &mut fregs, &mut iregs);
-                                promoted = true;
-                            }
-                            let (c0, s, m) = (cur, step, count - k);
-                            let vals = (0..m)
-                                .map(move |i| c0.wrapping_add(s.wrapping_mul(i as i64)));
-                            let mut done = 0u64;
-                            let r = self.typed_run(
-                                unit, fb, tb, ctx, state, &mut fregs, &iregs, vals, &mut done,
-                                None,
-                            );
-                            if done > 0 {
-                                k += done;
-                                last = c0.wrapping_add(s.wrapping_mul((done - 1) as i64));
-                                cur = last.wrapping_add(s);
-                            }
-                            if let Err((cf, e)) = r {
-                                tb.flush(fb, ctx, &fregs);
-                                var_cell.store_scalar(Value::Int(cf));
-                                return Err(e);
-                            }
-                            continue;
-                        }
-                        last = cur;
+        };
+        let mut last = None;
+        let mut flow = Flow::Normal;
+        let mut k = 0u64;
+        while k < space.count {
+            let cur = space.at(k);
+            match &fast {
+                Some((fb, ctx)) if state.granted >= fb.steps => {
+                    let bufs = tap.as_deref_mut().map(|t| &mut t.red_bufs[..]);
+                    if let Some(tb) = typed {
                         if !promoted {
-                            fb.prologue(ctx, regs);
+                            tb.prologue(fb, ctx, &mut fregs, &mut iregs);
                             promoted = true;
                         }
-                        if let Err(e) = self.fast_iter(unit, fb, ctx, state, regs, cur, None) {
-                            fb.flush(ctx, regs);
-                            var_cell.store_scalar(Value::Int(cur));
+                        let vals = space.values_from(k);
+                        let mut done = 0u64;
+                        let r = self.typed_run(
+                            unit, fb, tb, ctx, state, &mut fregs, &iregs, vals, &mut done, bufs,
+                        );
+                        k += done;
+                        if done > 0 {
+                            last = Some(space.at(k - 1));
+                        }
+                        if let Err((cf, e)) = r {
+                            flush(&fregs, regs);
+                            var_cell.store_scalar(Value::Int(cf));
                             return Err(e);
                         }
-                        k += 1;
-                        cur = cur.wrapping_add(step);
+                        continue;
                     }
-                    _ => {
-                        last = cur;
-                        if promoted {
-                            if let Some((fb, ctx)) = &fast {
-                                match typed {
-                                    Some(tb) => tb.flush(fb, ctx, &fregs),
-                                    None => fb.flush(ctx, regs),
-                                }
-                            }
-                            promoted = false;
-                        }
-                        if let Some(sh) = state.shadow.as_deref_mut() {
-                            sh.set_iter(k);
-                        }
-                        state.tick(2.0)?;
-                        state.record(&var_cell, 0, true, unit_idx, d.var);
+                    if !promoted {
+                        fb.prologue(ctx, regs);
+                        promoted = true;
+                    }
+                    last = Some(cur);
+                    if let Err(e) = self.fast_iter(unit, fb, ctx, state, regs, cur, bufs) {
+                        flush(&fregs, regs);
                         var_cell.store_scalar(Value::Int(cur));
-                        match self.bexec_block(unit_idx, &cl.body, frame, state, regs)? {
-                            Flow::Normal => {}
-                            other => {
-                                flow = other;
-                                break;
+                        return Err(e);
+                    }
+                }
+                _ => {
+                    if promoted {
+                        flush(&fregs, regs);
+                        promoted = false;
+                    }
+                    last = Some(cur);
+                    match tap.as_deref_mut() {
+                        Some(t) => t.begin_iter(state, k),
+                        None => {
+                            if let Some(sh) = state.shadow.as_deref_mut() {
+                                sh.set_iter(k);
                             }
                         }
-                        k += 1;
-                        cur = cur.wrapping_add(step);
+                    }
+                    state.tick(2.0)?;
+                    state.record(var_cell, 0, true, unit_idx, var);
+                    var_cell.store_scalar(Value::Int(cur));
+                    let f = match body {
+                        LoopBody::Code(code, _) => {
+                            self.bexec_block(unit_idx, code, frame, state, regs)?
+                        }
+                        LoopBody::Tree(stmts) => self.exec_block(unit_idx, stmts, frame, state)?,
+                    };
+                    if !matches!(f, Flow::Normal) {
+                        flow = f;
+                        break;
+                    }
+                    if let Some(t) = tap.as_deref_mut() {
+                        t.end_iter(state);
                     }
                 }
             }
-            if promoted {
-                if let Some((fb, ctx)) = &fast {
-                    match typed {
-                        Some(tb) => tb.flush(fb, ctx, &fregs),
-                        None => fb.flush(ctx, regs),
-                    }
-                }
-            }
-            if fast.is_some() && count > 0 {
-                var_cell.store_scalar(Value::Int(last));
-            }
-            flow
-        };
-
-        if let Some(sh) = state.shadow.as_deref_mut() {
-            let prog = self.program;
-            sh.pop_scope(&unit.name, count, |u, s| prog.units[u].symbols.name(s).to_string());
+            k += 1;
         }
-        let entry = state.profile.entry((unit.name.clone(), cl.sid)).or_default();
-        entry.invocations += 1;
-        entry.iterations += count;
-        entry.ops += state.vtime - vt0;
-        entry.wall_ns += wall0.elapsed().as_nanos() as u64;
+        if promoted {
+            flush(&fregs, regs);
+        }
+        if let (Some(_), Some(v)) = (&fast, last) {
+            var_cell.store_scalar(Value::Int(v));
+        }
         Ok(flow)
     }
 

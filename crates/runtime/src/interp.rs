@@ -1,5 +1,6 @@
 //! The interpreter: serial, simulated-parallel, and threaded execution.
 
+use crate::bytecode::LoopBody;
 use crate::machine::Machine;
 use crate::memory::{Cell, Frame};
 use crate::pool::{plan_chunks, Chunk, ChunkQueues, Pool, SchedStats, Schedule, StepBudget};
@@ -11,7 +12,7 @@ use ped_fortran::{
     BinOp, Expr, LValue, Program, ProgramUnit, RedOp, StmtId, StmtKind, SymId, Ty, UnOp,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -20,7 +21,9 @@ use std::time::Instant;
 pub enum ParallelMode {
     /// Ignore annotations; pure reference semantics.
     Serial,
-    /// Sequential execution charged as a P-processor schedule (deterministic).
+    /// The machine's static blocks run on the calling thread, in iteration
+    /// order, through the same chunk and merge path as `Threads`; each
+    /// loop is charged as the machine's schedule (deterministic).
     Simulate(Machine),
     /// Real host threads.
     Threads(usize),
@@ -29,13 +32,12 @@ pub enum ParallelMode {
 /// Which execution engine runs program bodies.
 ///
 /// Both engines implement one semantics — "two engines, one semantics" is
-/// enforced by differential property tests — but they trade differently:
-/// the register **bytecode** engine lowers every unit once at
-/// [`Interp::new`] (names resolved to frame slots, subscripts to
+/// enforced by differential property tests — and run in every
+/// [`ParallelMode`]: the register **bytecode** engine lowers every unit
+/// once at [`Interp::new`] (names resolved to frame slots, subscripts to
 /// stride+offset fast paths, per-node cost model coalesced into one charge
 /// per straight-line region) and is the default; the **tree** walker
-/// interprets the AST directly and stays on as the differential oracle,
-/// and is the only engine for `Simulate` mode.
+/// interprets the AST directly and stays on as the differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Compile to register bytecode first (see [`crate::bytecode`]), then
@@ -87,9 +89,8 @@ pub struct ExecConfig {
     /// (see [`crate::shadow`]). Works in every mode; the result lands in
     /// [`RunResult::shadow`].
     pub shadow: bool,
-    /// Which engine executes program bodies (see [`Engine`]). Requests for
-    /// the bytecode engine fall back to the tree walker in the modes only
-    /// it supports — check [`ExecConfig::effective_engine`].
+    /// Which engine executes program bodies (see [`Engine`]), in every
+    /// mode.
     pub engine: Engine,
 }
 
@@ -101,19 +102,6 @@ impl Default for ExecConfig {
             max_steps: 500_000_000,
             shadow: false,
             engine: Engine::default(),
-        }
-    }
-}
-
-impl ExecConfig {
-    /// The engine that will actually run: simulated-parallel charging is
-    /// tree-walker instrumentation, so `Simulate` mode pins the tree engine
-    /// regardless of the request.
-    pub fn effective_engine(&self) -> Engine {
-        if matches!(self.mode, ParallelMode::Simulate(_)) {
-            Engine::Tree
-        } else {
-            self.engine
         }
     }
 }
@@ -189,19 +177,60 @@ pub(crate) enum Flow {
     Stop,
 }
 
-/// One `PARALLEL DO` invocation packaged for the worker pool. Fully owned
-/// payload (the loop is cloned; the frame's cells are `Arc`s), so a job
-/// outlives the submitting stack frame without lifetime juggling.
+/// A DO loop's iteration space, fixed at entry: `count` values from
+/// `first` by `step`, in wrapping `i64` arithmetic.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IterSpace {
+    first: i64,
+    step: i64,
+    pub(crate) count: u64,
+}
+
+impl IterSpace {
+    /// The space of `DO v = lo, hi, step` (F77 trip count).
+    pub(crate) fn new(lo: i64, hi: i64, step: i64) -> Result<IterSpace, RtError> {
+        if step == 0 {
+            return Err(RtError::new("DO step is zero"));
+        }
+        let count = if (step > 0 && hi < lo) || (step < 0 && hi > lo) {
+            0
+        } else {
+            ((hi as i128 - lo as i128) / step as i128 + 1) as u64
+        };
+        Ok(IterSpace { first: lo, step, count })
+    }
+
+    /// The value of iteration `k`.
+    pub(crate) fn at(&self, k: u64) -> i64 {
+        self.first.wrapping_add(self.step.wrapping_mul(k as i64))
+    }
+
+    /// The values of iterations `k..count`.
+    pub(crate) fn values_from(&self, k: u64) -> impl Iterator<Item = i64> {
+        let (first, step) = (self.at(k), self.step);
+        (0..self.count - k).map(move |i| first.wrapping_add(step.wrapping_mul(i as i64)))
+    }
+}
+
+/// One `PARALLEL DO` invocation packaged for the worker pool, or for the
+/// calling thread under `Simulate`. Fully owned payload (the loop is
+/// cloned; the frame's cells are `Arc`s), so a job outlives the submitting
+/// stack frame without lifetime juggling.
 pub(crate) struct LoopJob {
     unit_idx: usize,
     d: ped_fortran::DoLoop,
-    vals: Vec<i64>,
+    space: IterSpace,
     /// The submitting frame; workers overlay private slots on a clone.
     base_frame: Frame,
     info: ped_fortran::ParallelInfo,
     budget: Arc<StepBudget>,
     queues: ChunkQueues,
     chunks_stolen: AtomicU64,
+    /// Start of the earliest chunk that faulted: later chunks are skipped,
+    /// since the merge reports the first fault in iteration order. It
+    /// publishes nothing else, so relaxed access suffices: a stale read
+    /// only runs a chunk more, and the merge still reports the first fault.
+    first_fault: AtomicUsize,
     outs: Mutex<Vec<ChunkOut>>,
     /// Index into the unit's compiled-loop table when the bytecode engine
     /// submitted this job: workers execute the compiled body instead of
@@ -213,8 +242,9 @@ pub(crate) struct LoopJob {
 struct ChunkOut {
     /// First iteration offset — the merge sort key (iteration order).
     start: usize,
+    /// Iterations in the chunk.
+    len: usize,
     worker: usize,
-    iters: u64,
     printed: Vec<String>,
     steps: u64,
     vtime: f64,
@@ -248,10 +278,62 @@ enum RedContrib {
 pub(crate) struct RedWatch {
     cell: Arc<Cell>,
     op: RedOp,
+    ty: Ty,
     /// Operands logged since the last iteration boundary.
     log: Vec<Value>,
     /// Cleared when a store bypassed the accumulation recognizer.
     clean: bool,
+}
+
+/// What a worker chunk adds to the iteration driver
+/// ([`Interp::drive`]): its reductions, re-seeded before each slow
+/// iteration and logged per iteration for the merge, and the global
+/// iteration index its shadow events carry.
+pub(crate) struct ChunkTap {
+    /// The chunk's first iteration (offset into the loop's space).
+    start: u64,
+    /// Operands `RedLog` ops append during fast iterations, one buffer
+    /// per reduction; flushed into `red_contribs` as one `Ops` run
+    /// whenever the slow path takes over (and once at chunk end), which
+    /// keeps global iteration order across fast/slow transitions.
+    pub(crate) red_bufs: Vec<Vec<Value>>,
+    /// Per-iteration contributions: `[reduction][iteration-in-chunk]`.
+    red_contribs: Vec<Vec<RedContrib>>,
+}
+
+impl ChunkTap {
+    /// Before slow iteration `k` of the chunk. Each slow iteration
+    /// accumulates into a fresh identity while the store sites log the
+    /// actual operands (see `red_assign`). The merge replays operands —
+    /// or, when a store defeated the recognizer, the iteration's delta —
+    /// in global iteration order: the same fold the serial loop performs,
+    /// which is what makes float reductions bit-identical to serial no
+    /// matter the chunking, schedule, or thread count. (Fast iterations
+    /// skip this: a promoted flush may have parked a meaningless
+    /// accumulated register value in the cell, and the re-seed restores
+    /// the slow path's invariant.)
+    pub(crate) fn begin_iter(&mut self, st: &mut ExecState<'_>, k: u64) {
+        flush_red(&mut self.red_bufs, &mut self.red_contribs);
+        for w in &mut st.red_watch {
+            w.cell.store_scalar(red_identity(w.op, w.ty));
+            w.log.clear();
+            w.clean = true;
+        }
+        if let Some(sh) = st.shadow.as_deref_mut() {
+            sh.set_tap_iter(self.start + k);
+        }
+    }
+
+    /// After a slow iteration that completed normally.
+    pub(crate) fn end_iter(&mut self, st: &mut ExecState<'_>) {
+        for (w, contribs) in st.red_watch.iter_mut().zip(&mut self.red_contribs) {
+            contribs.push(if w.clean {
+                RedContrib::Ops(std::mem::take(&mut w.log))
+            } else {
+                RedContrib::Delta(w.cell.load_scalar())
+            });
+        }
+    }
 }
 
 pub(crate) struct ExecState<'a> {
@@ -336,7 +418,7 @@ pub struct Interp<'p> {
     pub(crate) program: &'p Program,
     pub(crate) config: ExecConfig,
     commons: HashMap<String, Vec<Arc<Cell>>>,
-    /// Lowered form of every unit, built once when the effective engine is
+    /// Lowered form of every unit, built once when the engine is
     /// [`Engine::Bytecode`] (see [`crate::bytecode`]).
     pub(crate) compiled: Option<crate::bytecode::CompiledProgram<'p>>,
 }
@@ -367,7 +449,7 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        let compiled = (config.effective_engine() == Engine::Bytecode)
+        let compiled = (config.engine == Engine::Bytecode)
             .then(|| crate::bytecode::compile_program(program, config.shadow));
         Ok(Interp { program, config, commons, compiled })
     }
@@ -536,7 +618,13 @@ impl<'p> Interp<'p> {
             if stolen {
                 job.chunks_stolen.fetch_add(1, Ordering::Relaxed);
             }
+            if chunk.start > job.first_fault.load(Ordering::Relaxed) {
+                continue;
+            }
             let out = self.exec_chunk(job, chunk, worker, &fr, &var_cell, &red_cells, &last_cells);
+            if out.err.is_some() {
+                job.first_fault.fetch_min(chunk.start, Ordering::Relaxed);
+            }
             job.outs.lock().unwrap().push(out);
         }
     }
@@ -573,216 +661,57 @@ impl<'p> Interp<'p> {
         }
         st.red_watch = red_cells
             .iter()
-            .map(|(op, _, c)| RedWatch { cell: c.clone(), op: *op, log: Vec::new(), clean: true })
+            .map(|&(op, ty, ref c)| RedWatch {
+                cell: c.clone(),
+                op,
+                ty,
+                log: Vec::new(),
+                clean: true,
+            })
             .collect();
-        let mut red_contribs: Vec<Vec<RedContrib>> =
-            red_cells.iter().map(|_| Vec::with_capacity(chunk.len)).collect();
+        let mut tap = ChunkTap {
+            start: chunk.start as u64,
+            red_bufs: vec![Vec::new(); red_cells.len()],
+            red_contribs: red_cells.iter().map(|_| Vec::new()).collect(),
+        };
         // Bytecode jobs carry the compiled body: workers execute register
-        // code, not an AST walk. The register file is reused across the
-        // chunk's iterations.
-        let cbody = job.cdo.and_then(|ci| {
-            let cu = &self.compiled.as_ref()?.units[job.unit_idx];
-            Some((cu.loop_body(ci), cu.nregs(), cu.loop_fast(ci)))
-        });
-        // Straight-line bodies with no shadow tap run in fast form (see
-        // `bexec_do`): cells resolved once per chunk, iterations charged
-        // in bulk, the iteration variable kept in flight with the cell
-        // updated at chunk end. Reduction loops qualify only when every
-        // accumulator store was recognized at compile time (`red_ok`):
-        // spliced `RedLog` ops then record the accumulation operands
-        // into per-worker buffers — the same operand stream `red_assign`
-        // would have logged — so the merge's serial-fold replay stays
-        // bit-identical without a per-store slow-path escape.
-        let unit_ref = &self.program.units[job.unit_idx];
-        let fast = match cbody {
-            Some((_, _, Some(fb)))
-                if st.shadow.is_none() && (st.red_watch.is_empty() || fb.red_ok) =>
-            {
-                self.fast_resolve(fb, fr, var_cell).map(|ctx| (fb, ctx))
+        // code, not an AST walk.
+        let (body, mut regs) = match (job.cdo, self.compiled.as_ref()) {
+            (Some(ci), Some(cp)) => {
+                let cu = &cp.units[job.unit_idx];
+                let regs = vec![Value::Int(0); cu.nregs()];
+                (LoopBody::Code(cu.loop_body(ci), cu.loop_fast(ci)), regs)
             }
-            _ => None,
+            _ => (LoopBody::Tree(&job.d.body), Vec::new()),
         };
-        // Operand buffers RedLog ops append to during fast iterations;
-        // flushed into `red_contribs` as one `Ops` run whenever the slow
-        // path takes over (and once at chunk end), preserving global
-        // iteration order across fast/slow transitions.
-        let log_red = fast.is_some() && !red_cells.is_empty();
-        let mut red_bufs: Vec<Vec<Value>> = red_cells.iter().map(|_| Vec::new()).collect();
-        let nregs = fast
-            .as_ref()
-            .map_or(cbody.map_or(0, |(_, n, _)| n), |(fb, _)| fb.nregs.max(cbody.unwrap().1));
-        let mut regs = vec![Value::Int(0); nregs];
-        let typed = match &fast {
-            Some((fb, ctx)) if ctx.typed_ok => fb.typed.as_ref(),
-            _ => None,
+        let var = (job.d.var, var_cell);
+        let first = job.space.at(chunk.start as u64);
+        let space = IterSpace { first, count: chunk.len as u64, ..job.space };
+        let run =
+            self.drive(job.unit_idx, body, fr, &mut st, &mut regs, var, space, Some(&mut tap));
+        let err = match run {
+            Ok(Flow::Normal) => None,
+            Ok(_) => Some(RtError::new("RETURN/STOP inside a PARALLEL DO is not supported")),
+            Err(e) => Some(e),
         };
-        let (mut fregs, mut iregs) = match (&fast, typed) {
-            (Some((fb, _)), Some(_)) => (vec![0f64; fb.nregs], vec![0i64; fb.nslots()]),
-            _ => (Vec::new(), Vec::new()),
-        };
-        let mut promoted = false;
-        let mut err = None;
-        let mut iters = 0u64;
-        let mut k = 0usize;
-        while k < chunk.len {
-            // Typed burst: shadow taps never coexist with the typed tier,
-            // and reductions reach it only in `red_ok` form (operands
-            // logged by `RedLog`) — so the per-iteration setup below is
-            // all dead and every iteration the grant covers runs in one
-            // call.
-            if let (Some(tb), Some((fb, ctx))) = (typed, &fast) {
-                if st.granted >= fb.steps {
-                    if !promoted {
-                        tb.prologue(fb, ctx, &mut fregs, &mut iregs);
-                        promoted = true;
-                    }
-                    let vals =
-                        job.vals[chunk.start + k..chunk.start + chunk.len].iter().copied();
-                    let mut done = 0u64;
-                    let r = self.typed_run(
-                        unit_ref, fb, tb, ctx, &mut st, &mut fregs, &iregs, vals, &mut done,
-                        if log_red { Some(&mut red_bufs[..]) } else { None },
-                    );
-                    k += done as usize;
-                    iters += done;
-                    if let Err((cf, e)) = r {
-                        tb.flush(fb, ctx, &fregs);
-                        var_cell.store_scalar(Value::Int(cf));
-                        err = Some(e);
-                        break;
-                    }
-                    continue;
-                }
-            }
-            let cur = job.vals[chunk.start + k];
-            let ran_fast = match &fast {
-                // (typed bodies never reach here: the burst above covers
-                // every grant-covered iteration, and a short grant routes
-                // through the slow path for its refill/abort.)
-                Some((fb, ctx)) if typed.is_none() && st.granted >= fb.steps => {
-                    if !promoted {
-                        fb.prologue(ctx, &mut regs);
-                        promoted = true;
-                    }
-                    let bufs = if log_red { Some(&mut red_bufs[..]) } else { None };
-                    if let Err(e) =
-                        self.fast_iter(unit_ref, fb, ctx, &mut st, &mut regs, cur, bufs)
-                    {
-                        fb.flush(ctx, &regs);
-                        var_cell.store_scalar(Value::Int(cur));
-                        err = Some(e);
-                        break;
-                    }
-                    true
-                }
-                _ => false,
-            };
-            if !ran_fast {
-                if promoted {
-                    if let Some((fb, ctx)) = &fast {
-                        match typed {
-                            Some(tb) => tb.flush(fb, ctx, &fregs),
-                            None => fb.flush(ctx, &regs),
-                        }
-                    }
-                    promoted = false;
-                }
-                // Operands logged by preceding fast iterations land as one
-                // `Ops` run before this slow iteration's contribution —
-                // the merge's flattened fold preserves iteration order.
-                flush_red(&mut red_bufs, &mut red_contribs);
-                // Each slow iteration accumulates into a fresh identity
-                // while the store sites log the actual operands (see
-                // `red_assign`). The merge replays operands — or, when a
-                // store defeated the recognizer, the iteration's delta —
-                // in global iteration order: the same fold the serial loop
-                // performs, which is what makes float reductions
-                // bit-identical to serial no matter the chunking,
-                // schedule, or thread count. (Fast iterations skip this:
-                // the promoted flush above may have parked a meaningless
-                // accumulated register value in the cell, and the re-seed
-                // restores the slow path's invariant.)
-                for (op, ty, c) in red_cells {
-                    c.store_scalar(red_identity(*op, *ty));
-                }
-                for w in &mut st.red_watch {
-                    w.log.clear();
-                    w.clean = true;
-                }
-                if let Some(sh) = st.shadow.as_deref_mut() {
-                    sh.set_tap_iter((chunk.start + k) as u64);
-                }
-                if let Err(e) = st.tick(2.0) {
-                    err = Some(e);
-                    break;
-                }
-                st.record(var_cell, 0, true, job.unit_idx, job.d.var);
-                var_cell.store_scalar(Value::Int(cur));
-                let flow = match cbody {
-                    Some((block, _, _)) => {
-                        self.bexec_block(job.unit_idx, block, fr, &mut st, &mut regs)
-                    }
-                    None => self.exec_block(job.unit_idx, &job.d.body, fr, &mut st),
-                };
-                match flow {
-                    Ok(Flow::Normal) => {}
-                    Ok(_) => {
-                        err = Some(RtError::new(
-                            "RETURN/STOP inside a PARALLEL DO is not supported",
-                        ));
-                        break;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-                for (i, (_, _, c)) in red_cells.iter().enumerate() {
-                    let w = &mut st.red_watch[i];
-                    red_contribs[i].push(if w.clean {
-                        RedContrib::Ops(std::mem::take(&mut w.log))
-                    } else {
-                        RedContrib::Delta(c.load_scalar())
-                    });
-                }
-            }
-            iters += 1;
-            k += 1;
-        }
         // Trailing fast iterations' operands (no slow iteration followed
         // to flush them). Faulted chunks may flush partial logs too —
         // harmless, since an erroring run returns before the merge ever
         // replays contributions.
-        flush_red(&mut red_bufs, &mut red_contribs);
-        if promoted {
-            // Reconcile promoted scalars before anything can look at the
-            // worker's cells (the lastprivate capture below reads them).
-            if let Some((fb, ctx)) = &fast {
-                match typed {
-                    Some(tb) => tb.flush(fb, ctx, &fregs),
-                    None => fb.flush(ctx, &regs),
-                }
-            }
-        }
-        if fast.is_some() && iters > 0 && err.is_none() {
-            // Fast iterations keep the loop variable in flight; land the
-            // last executed value in the worker's cell (what a slow chunk
-            // would have left there). Fault paths already stored theirs.
-            var_cell.store_scalar(Value::Int(job.vals[chunk.start + iters as usize - 1]));
-        }
+        flush_red(&mut tap.red_bufs, &mut tap.red_contribs);
         st.release_grant();
         // Capture lastprivate values now — the cells are reused by this
         // worker's next chunk.
         let lastprivates = last_cells.iter().map(|(s, c)| (*s, c.load_scalar())).collect();
         ChunkOut {
             start: chunk.start,
+            len: chunk.len,
             worker,
-            iters,
             printed: st.printed,
             steps: st.steps,
             vtime: st.vtime,
             profile: st.profile,
-            red_contribs,
+            red_contribs: tap.red_contribs,
             lastprivates,
             shadow: st.shadow.take().map(|sh| sh.into_chunk()),
             err,
@@ -848,7 +777,7 @@ impl<'p> Interp<'p> {
         self.exec_block(unit_idx, &body, frame, state)
     }
 
-    fn exec_block(
+    pub(crate) fn exec_block(
         &self,
         unit_idx: usize,
         block: &[StmtId],
@@ -881,9 +810,7 @@ impl<'p> Interp<'p> {
                 if !state.red_watch.is_empty() {
                     if let LValue::Var(s) = lhs {
                         let cell = self.cell(unit, frame, *s)?.clone();
-                        if let Some(wi) =
-                            state.red_watch.iter().position(|w| Arc::ptr_eq(&w.cell, &cell))
-                        {
+                        if let Some(wi) = state.watched(&cell) {
                             self.red_assign(unit_idx, wi, *s, rhs, &cell, frame, state)?;
                             return Ok(Flow::Normal);
                         }
@@ -949,39 +876,6 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Values the loop variable takes, computed once at entry (F77 rules).
-    fn iteration_values(
-        &self,
-        unit_idx: usize,
-        d: &ped_fortran::DoLoop,
-        frame: &Frame,
-        state: &mut ExecState<'_>,
-    ) -> Result<Vec<i64>, RtError> {
-        let lo = self.eval(unit_idx, &d.lo, frame, state)?.as_int();
-        let hi = self.eval(unit_idx, &d.hi, frame, state)?.as_int();
-        let step = match &d.step {
-            None => 1,
-            Some(e) => self.eval(unit_idx, e, frame, state)?.as_int(),
-        };
-        if step == 0 {
-            return Err(RtError::new("DO step is zero"));
-        }
-        let mut vals = Vec::new();
-        let mut x = lo;
-        if step > 0 {
-            while x <= hi {
-                vals.push(x);
-                x += step;
-            }
-        } else {
-            while x >= hi {
-                vals.push(x);
-                x += step;
-            }
-        }
-        Ok(vals)
-    }
-
     fn exec_do(
         &self,
         unit_idx: usize,
@@ -989,54 +883,62 @@ impl<'p> Interp<'p> {
         frame: &Frame,
         state: &mut ExecState<'_>,
     ) -> Result<Flow, RtError> {
+        let d = self.program.units[unit_idx].loop_of(sid).clone();
+        // The header is evaluated once at entry (F77 rules).
+        let lo = self.eval(unit_idx, &d.lo, frame, state)?.as_int();
+        let hi = self.eval(unit_idx, &d.hi, frame, state)?.as_int();
+        let step = match &d.step {
+            None => 1,
+            Some(e) => self.eval(unit_idx, e, frame, state)?.as_int(),
+        };
+        let space = IterSpace::new(lo, hi, step)?;
+        self.scoped_do(unit_idx, sid, &d, frame, state, |state| {
+            if self.forks(&d, state) {
+                Ok((self.run_parallel(unit_idx, &d, space, frame, state, None)?, space.count))
+            } else {
+                let vals = iteration_values(lo, hi, step);
+                Ok((self.run_serial(unit_idx, &d, &vals, frame, state)?, vals.len() as u64))
+            }
+        })
+    }
+
+    /// One DO execution with the bookkeeping both engines share around
+    /// `run`, which executes the iterations and reports their count: the
+    /// loop's shadow scope and its profile entry. A parallel loop's scope
+    /// masks exactly what a worker rebinds: its variable plus the clause
+    /// cells. A serial DO masks nothing — its index is an ordinary shared
+    /// cell whose per-iteration store must stay visible to enclosing
+    /// scopes (a missing private() on an inner loop's index is a real race
+    /// the checker has to observe).
+    pub(crate) fn scoped_do<'a>(
+        &self,
+        unit_idx: usize,
+        sid: StmtId,
+        d: &ped_fortran::DoLoop,
+        frame: &Frame,
+        state: &mut ExecState<'a>,
+        run: impl FnOnce(&mut ExecState<'a>) -> Result<(Flow, u64), RtError>,
+    ) -> Result<Flow, RtError> {
         let unit = &self.program.units[unit_idx];
-        let d = unit.loop_of(sid).clone();
-        let vals = self.iteration_values(unit_idx, &d, frame, state)?;
         let vt0 = state.vtime;
         let wall0 = Instant::now();
-        let key = (unit.name.clone(), sid);
-
         if state.shadow.is_some() {
-            // A parallel loop's shadow scope masks exactly what Threads
-            // mode rebinds per worker: its variable plus the clause cells.
-            // A serial DO rebinds nothing — its index is an ordinary
-            // shared cell whose per-iteration store must stay visible to
-            // enclosing scopes (a missing private() on an inner loop's
-            // index is a real race the checker has to observe).
             let (excluded, true_only) = match &d.parallel {
-                Some(info) => {
-                    shadow_masks(self.cell(unit, frame, d.var)?, info, frame)
-                }
+                Some(info) => shadow_masks(self.cell(unit, frame, d.var)?, info, frame),
                 None => Default::default(),
             };
             if let Some(sh) = state.shadow.as_mut() {
                 sh.push_scope(sid, excluded, true_only);
             }
         }
-
-        let flow = if d.is_parallel() && !state.in_parallel {
-            match self.config.mode {
-                ParallelMode::Serial => self.run_serial(unit_idx, &d, &vals, frame, state)?,
-                ParallelMode::Simulate(machine) => {
-                    self.run_simulated(unit_idx, &d, &vals, frame, state, machine)?
-                }
-                ParallelMode::Threads(_) => {
-                    self.run_threads(unit_idx, &d, &vals, frame, state, None)?
-                }
-            }
-        } else {
-            self.run_serial(unit_idx, &d, &vals, frame, state)?
-        };
-
+        let (flow, trips) = run(state)?;
         if let Some(sh) = state.shadow.as_deref_mut() {
             let prog = self.program;
-            sh.pop_scope(&unit.name, vals.len() as u64, |u, s| {
-                prog.units[u].symbols.name(s).to_string()
-            });
+            sh.pop_scope(&unit.name, trips, |u, s| prog.units[u].symbols.name(s).to_string());
         }
-        let entry = state.profile.entry(key).or_default();
+        let entry = state.profile.entry((unit.name.clone(), sid)).or_default();
         entry.invocations += 1;
-        entry.iterations += vals.len() as u64;
+        entry.iterations += trips;
         entry.ops += state.vtime - vt0;
         entry.wall_ns += wall0.elapsed().as_nanos() as u64;
         Ok(flow)
@@ -1067,86 +969,67 @@ impl<'p> Interp<'p> {
         Ok(Flow::Normal)
     }
 
-    fn run_simulated(
-        &self,
-        unit_idx: usize,
-        d: &ped_fortran::DoLoop,
-        vals: &[i64],
-        frame: &Frame,
-        state: &mut ExecState<'_>,
-        machine: Machine,
-    ) -> Result<Flow, RtError> {
-        let unit = &self.program.units[unit_idx];
-        let var_cell = self.cell(unit, frame, d.var)?.clone();
-        let vt0 = state.vtime;
-        let mut iter_costs = Vec::with_capacity(vals.len());
-        let mut flow = Flow::Normal;
-        state.in_parallel = true;
-        for (k, &v) in vals.iter().enumerate() {
-            if let Some(sh) = state.shadow.as_deref_mut() {
-                sh.set_iter(k as u64);
+    /// Does this execution of `d` go through the job/chunk/merge path? A
+    /// `PARALLEL DO` does when it is not already inside one, under
+    /// `Simulate`, and under `Threads` when the run has a pool (otherwise
+    /// it runs serially).
+    pub(crate) fn forks(&self, d: &ped_fortran::DoLoop, state: &ExecState<'_>) -> bool {
+        d.is_parallel()
+            && !state.in_parallel
+            && match self.config.mode {
+                ParallelMode::Serial => false,
+                ParallelMode::Simulate(_) => true,
+                ParallelMode::Threads(_) => state.pool.is_some(),
             }
-            let t0 = state.vtime;
-            state.tick(2.0)?;
-            state.record(&var_cell, 0, true, unit_idx, d.var);
-            var_cell.store_scalar(Value::Int(v));
-            match self.exec_block(unit_idx, &d.body, frame, state) {
-                Ok(Flow::Normal) => {}
-                Ok(other) => {
-                    flow = other;
-                    iter_costs.push(state.vtime - t0);
-                    break;
-                }
-                Err(e) => {
-                    state.in_parallel = false;
-                    return Err(e);
-                }
-            }
-            iter_costs.push(state.vtime - t0);
-        }
-        state.in_parallel = false;
-        // Replace the serial charge with the machine schedule.
-        state.vtime = vt0 + machine.parallel_charge(&iter_costs);
-        Ok(flow)
     }
 
-    /// Dispatch a `PARALLEL DO` to the persistent worker pool and merge
-    /// the chunk results deterministically: printed lines in iteration
-    /// order, reductions recombined in serial fold order (per-iteration
-    /// deltas), lastprivate from the chunk holding the final iteration.
-    /// Threaded output is therefore bit-identical to serial execution.
-    pub(crate) fn run_threads(
+    /// Run a `PARALLEL DO` as chunks and merge their results
+    /// deterministically: printed lines in iteration order, reductions
+    /// recombined in serial fold order, lastprivate from the chunk holding
+    /// the final iteration. Output is therefore bit-identical to serial
+    /// execution. Under `Threads` the pool runs the schedule's chunks;
+    /// under `Simulate` this thread runs the machine's static blocks in
+    /// iteration order and charges them through [`Machine::block_charge`].
+    pub(crate) fn run_parallel(
         &self,
         unit_idx: usize,
         d: &ped_fortran::DoLoop,
-        vals: &[i64],
+        space: IterSpace,
         frame: &Frame,
         state: &mut ExecState<'_>,
         cdo: Option<u32>,
     ) -> Result<Flow, RtError> {
         let unit = &self.program.units[unit_idx];
-        let Some(pool) = state.pool else {
-            // No pool for this run (defensive): reference semantics.
-            return self.run_serial(unit_idx, d, vals, frame, state);
+        let n = space.count as usize;
+        let (chunks, workers) = match (self.config.mode, state.pool) {
+            (ParallelMode::Simulate(m), _) => (plan_chunks(Schedule::Static, n, m.procs), 1),
+            (_, Some(pool)) if n > 0 => {
+                (plan_chunks(self.config.schedule, n, pool.workers()), pool.workers())
+            }
+            // An empty loop under Threads: nothing to dispatch or charge.
+            // (`forks` keeps a Threads run without a pool off this path.)
+            _ => return Ok(Flow::Normal),
         };
-        if vals.is_empty() {
-            return Ok(Flow::Normal);
-        }
-        let n = pool.workers();
-        let chunks = plan_chunks(self.config.schedule, vals.len(), n);
+        // The chunks draw on the whole remaining budget, so a budget abort
+        // lands on the same step as in a serial run.
+        state.release_grant();
         let job = Arc::new(LoopJob {
             unit_idx,
             d: d.clone(),
-            vals: vals.to_vec(),
+            space,
             base_frame: frame.clone(),
             info: d.parallel.clone().unwrap_or_default(),
             budget: state.budget.clone(),
-            queues: ChunkQueues::seed(&chunks, n),
+            queues: ChunkQueues::seed(&chunks, workers),
             chunks_stolen: AtomicU64::new(0),
+            first_fault: AtomicUsize::new(usize::MAX),
             outs: Mutex::new(Vec::with_capacity(chunks.len())),
             cdo,
         });
-        pool.run_job(job.clone());
+        match state.pool {
+            Some(pool) => pool.run_job(job.clone()),
+            None => self.run_job_chunks(&job, 0),
+        }
 
         let mut outs = std::mem::take(&mut *job.outs.lock().unwrap());
         outs.sort_by_key(|o| o.start);
@@ -1156,19 +1039,23 @@ impl<'p> Interp<'p> {
         for o in &outs {
             state.steps += o.steps;
         }
-        state.sched.parallel_loops += 1;
-        state.sched.chunks_executed += outs.len() as u64;
-        state.sched.chunks_stolen += job.chunks_stolen.load(Ordering::Relaxed);
-        if state.sched.worker_iterations.len() < n {
-            state.sched.worker_iterations.resize(n, 0);
+        if let ParallelMode::Simulate(m) = self.config.mode {
+            state.vtime += m.block_charge(outs.iter().map(|o| (o.vtime, o.len)));
+        } else {
+            state.sched.parallel_loops += 1;
+            state.sched.chunks_executed += outs.len() as u64;
+            state.sched.chunks_stolen += job.chunks_stolen.load(Ordering::Relaxed);
+            if state.sched.worker_iterations.len() < workers {
+                state.sched.worker_iterations.resize(workers, 0);
+            }
+            // Parallel time charge: the busiest worker's total.
+            let mut worker_vtime = vec![0.0f64; workers];
+            for o in &outs {
+                state.sched.worker_iterations[o.worker] += o.len as u64;
+                worker_vtime[o.worker] += o.vtime;
+            }
+            state.vtime += worker_vtime.iter().copied().fold(0.0, f64::max);
         }
-        // Parallel time charge: the busiest worker's total.
-        let mut worker_vtime = vec![0.0f64; n];
-        for o in &outs {
-            state.sched.worker_iterations[o.worker] += o.iters;
-            worker_vtime[o.worker] += o.vtime;
-        }
-        state.vtime += worker_vtime.iter().copied().fold(0.0, f64::max);
         for o in &outs {
             for (k, v) in &o.profile {
                 let e = state.profile.entry(k.clone()).or_default();
@@ -1225,8 +1112,8 @@ impl<'p> Interp<'p> {
         }
         // The loop variable's final value: the serial interpreter leaves
         // it at the last executed iteration value, so match that exactly.
-        if let Some(&last) = vals.last() {
-            self.cell(unit, frame, d.var)?.store_scalar(Value::Int(last));
+        if n > 0 {
+            self.cell(unit, frame, d.var)?.store_scalar(Value::Int(space.at(space.count - 1)));
         }
         Ok(Flow::Normal)
     }
@@ -1789,14 +1676,32 @@ fn static_dims(unit: &ProgramUnit, sym: SymId) -> Result<Vec<(i64, i64)>, RtErro
     Ok(out)
 }
 
+/// Values the loop variable takes: the walker's serial loop, which runs
+/// over a materialized list.
+fn iteration_values(lo: i64, hi: i64, step: i64) -> Vec<i64> {
+    let mut vals = Vec::new();
+    let mut x = lo;
+    if step > 0 {
+        while x <= hi {
+            vals.push(x);
+            x += step;
+        }
+    } else {
+        while x >= hi {
+            vals.push(x);
+            x += step;
+        }
+    }
+    vals
+}
+
 /// Split a parallel loop's clause cells into the shadow-scope mask pair:
 /// the loop variable and scalar clause cells are fully `excluded` (Threads
 /// mode rebinds them per worker, so no mode can observe them), while
 /// private *array* cells go in `true_only` — the scope keeps watching them
 /// for carried flow, the observed witness that a section-proven (or
-/// user-forced) array privatization was invalid. Shared by the tree walker
-/// and the bytecode engine so both observe identically.
-pub(crate) fn shadow_masks(
+/// user-forced) array privatization was invalid.
+fn shadow_masks(
     var_cell: &Arc<Cell>,
     info: &ped_fortran::ParallelInfo,
     frame: &Frame,
@@ -1934,6 +1839,24 @@ mod tests {
         )
         .unwrap_err();
         assert!(e.message.contains("step limit"), "{e}");
+    }
+
+    /// A 10^12-trip `PARALLEL DO` carries its iteration space as
+    /// first/step/count, so both parallel modes reach the step limit
+    /// instead of allocating a value per iteration.
+    #[test]
+    fn huge_parallel_loop_stops_at_the_step_limit() {
+        let src = "program t\nreal a(10)\nparallel do i = 1, 1000000000000\na(1) = i\nenddo\nend\n";
+        for mode in [ParallelMode::Threads(2), ParallelMode::Simulate(Machine::with_procs(4))] {
+            let config = ExecConfig {
+                mode,
+                schedule: Schedule::Guided,
+                max_steps: 100_000,
+                ..ExecConfig::default()
+            };
+            let e = run_source(src, config).unwrap_err();
+            assert_eq!(e.message, "statement step limit exceeded", "{mode:?}");
+        }
     }
 
     #[test]
@@ -2132,6 +2055,15 @@ mod tests {
         assert_eq!(serial.printed, sim.printed);
         let speedup = serial.vtime / sim.vtime;
         assert!(speedup > 4.0, "speedup was {speedup}");
+        // Simulate runs on the calling thread: the scheduler counters stay
+        // zero, and an empty loop still pays fork + barrier.
+        assert_eq!(sim.sched, SchedStats::default());
+        let m = Machine::with_procs(8);
+        let empty = src.replace("1, 10000", "1, 0");
+        let serial = run_source(&empty, ExecConfig::default()).unwrap();
+        let config = ExecConfig { mode: ParallelMode::Simulate(m), ..ExecConfig::default() };
+        let sim = run_source(&empty, config).unwrap();
+        assert_eq!(sim.vtime - serial.vtime, m.fork_cost + m.barrier_cost);
     }
 
     /// Carried (variable, kind) dependences other than read-read that the

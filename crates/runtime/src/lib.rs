@@ -2,16 +2,19 @@
 //!
 //! The paper's users ran their parallelized codes on an 8-processor
 //! Alliant FX/8 or a Cray Y-MP; our stand-in is an interpreter for the
-//! `ped-fortran` subset with three execution modes:
+//! `ped-fortran` subset with three execution modes, each on either engine
+//! (register bytecode by default, the AST walker as the oracle):
 //!
 //! * **serial** — reference semantics, with loop-level profiling (the role
 //!   gprof / Forge loop profiles played for the workshop users) and a
 //!   virtual-time cost model;
-//! * **simulated parallel** — deterministic: `PARALLEL DO` loops execute
-//!   sequentially but are *charged* as a P-processor static schedule
-//!   (fork + max-chunk + barrier), so speedup curves and crossover points
-//!   are stable across host machines — this mode regenerates the paper's
-//!   performance shapes;
+//! * **simulated parallel** — deterministic: a `PARALLEL DO` is cut into
+//!   the P-processor machine's static blocks, which run inline on the
+//!   calling thread in iteration order through the same job, chunk and
+//!   merge code as real parallel execution, and the loop is *charged* as
+//!   that schedule (fork + worst block + barrier, [`Machine::block_charge`]),
+//!   so speedup curves and crossover points are stable across host
+//!   machines — this mode regenerates the paper's performance shapes;
 //! * **real parallel** — `PARALLEL DO` iterations actually run on a
 //!   persistent pool of host threads (see [`pool`]) built once per run and
 //!   reused by every parallel loop: per-worker deques with chunk-level

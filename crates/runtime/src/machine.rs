@@ -3,6 +3,8 @@
 //! A deterministic cost model standing in for the paper's 8-processor
 //! Alliant FX/8: `PARALLEL DO` loops are charged as a static block schedule
 //! — fork overhead, the maximum per-processor chunk cost, and a barrier.
+//! [`Machine::block_charge`] is that one formula: `Simulate` runs feed it
+//! the blocks they executed, the estimator feeds it predicted costs.
 //! Because the charge is computed from interpreter op counts, speedup
 //! *shapes* (who wins, where granularity crossovers fall) are reproducible
 //! on any host.
@@ -31,21 +33,23 @@ impl Machine {
         Machine { procs, ..Machine::alliant8() }
     }
 
+    /// Charge for a parallel loop run as static blocks, from each block's
+    /// summed iteration cost and iteration count: fork, the worst block
+    /// with its per-iteration dispatch, and the barrier. With no blocks
+    /// (an empty loop) only the overheads remain.
+    pub fn block_charge(&self, blocks: impl IntoIterator<Item = (f64, usize)>) -> f64 {
+        let mut worst: f64 = 0.0;
+        for (cost, len) in blocks {
+            worst = worst.max(cost + self.dispatch_cost * len as f64);
+        }
+        self.fork_cost + worst + self.barrier_cost
+    }
+
     /// Charge for a parallel loop whose iterations cost `iter_costs`
     /// (virtual ops each), under static block scheduling.
     pub fn parallel_charge(&self, iter_costs: &[f64]) -> f64 {
-        if iter_costs.is_empty() {
-            return self.fork_cost + self.barrier_cost;
-        }
-        let n = iter_costs.len();
-        let p = self.procs.max(1);
-        let chunk = n.div_ceil(p);
-        let mut worst: f64 = 0.0;
-        for c in iter_costs.chunks(chunk) {
-            let cost: f64 = c.iter().sum::<f64>() + self.dispatch_cost * c.len() as f64;
-            worst = worst.max(cost);
-        }
-        self.fork_cost + worst + self.barrier_cost
+        let chunk = iter_costs.len().div_ceil(self.procs.max(1)).max(1);
+        self.block_charge(iter_costs.chunks(chunk).map(|c| (c.iter().sum(), c.len())))
     }
 
     /// Serial charge for the same iterations (no overheads).
@@ -60,13 +64,8 @@ impl Machine {
     /// Equals the slice path exactly whenever `chunk * iter_cost` is exact
     /// in f64 — true for the estimator, whose costs are integral-valued.
     pub fn parallel_charge_uniform(&self, iter_cost: f64, trip: usize) -> f64 {
-        if trip == 0 {
-            return self.fork_cost + self.barrier_cost;
-        }
-        let p = self.procs.max(1);
-        let chunk = trip.div_ceil(p);
-        let worst = chunk as f64 * iter_cost + self.dispatch_cost * chunk as f64;
-        self.fork_cost + worst + self.barrier_cost
+        let chunk = trip.div_ceil(self.procs.max(1));
+        self.block_charge([(chunk as f64 * iter_cost, chunk)])
     }
 }
 

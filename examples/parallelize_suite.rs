@@ -6,29 +6,10 @@
 //! cargo run --release -p ped-bench --example parallelize_suite
 //! ```
 
-use ped_bench::{apply_suite_assertions, parallelize_everything};
-use ped_core::Ped;
+use ped_bench::apply_suite_assertions;
+use ped_core::{autoparallelize, Ped};
 use ped_runtime::{ExecConfig, ParallelMode};
 use std::time::Instant;
-
-/// Token-wise comparison tolerant of reduction reassociation.
-fn outputs_match(a: &[String], b: &[String]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    a.iter().zip(b).all(|(x, y)| {
-        let xs: Vec<&str> = x.split_whitespace().collect();
-        let ys: Vec<&str> = y.split_whitespace().collect();
-        xs.len() == ys.len()
-            && xs.iter().zip(&ys).all(|(u, v)| {
-                u == v
-                    || match (u.parse::<f64>(), v.parse::<f64>()) {
-                        (Ok(p), Ok(q)) => (p - q).abs() <= 1e-6 * p.abs().max(1.0),
-                        _ => false,
-                    }
-            })
-    })
-}
 
 fn main() {
     println!(
@@ -38,7 +19,7 @@ fn main() {
     for w in ped_workloads::all_programs() {
         let mut ped = Ped::open(w.source).unwrap();
         apply_suite_assertions(&mut ped, w.name);
-        let n = parallelize_everything(&mut ped);
+        let n = autoparallelize(&mut ped);
 
         let t0 = Instant::now();
         let serial = ped.run(ExecConfig::default()).unwrap();
@@ -56,10 +37,10 @@ fn main() {
             n,
             ts,
             tp,
-            if outputs_match(&serial.printed, &par.printed) { "match ✓" } else { "DIFFER ✗" },
+            if serial.printed == par.printed { "match ✓" } else { "DIFFER ✗" },
             serial.printed.join(" | ")
         );
-        assert!(outputs_match(&serial.printed, &par.printed), "{} diverged", w.name);
+        assert_eq!(serial.printed, par.printed, "{} diverged", w.name);
     }
     println!("\n(the interpreter is the bottleneck at these program sizes; the");
     println!(" deterministic machine model in `--bin speedups` isolates the");

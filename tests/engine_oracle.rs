@@ -7,13 +7,14 @@
 //! virtual time, the same shadow-memory dependence logs, and the same
 //! error messages at the same step on every runtime fault. These tests
 //! sweep the nine-program suite and generated programs across
-//! Serial/Threads{1,2,4} × {static, dynamic, guided} with the tree walker
-//! as the reference; the interpreter-bug regression cases (negative and
-//! INT_MIN subscripts, division overflow, budget-abort parity) pin down
-//! the faults that used to hide behind the tree walker's Rust panics.
+//! Serial/Threads{1,2,4} × {static, dynamic, guided}/Simulate{2,4,8} with
+//! the tree walker as the reference; the interpreter-bug regression cases
+//! (negative and INT_MIN subscripts, division overflow, budget-abort
+//! parity) pin down the faults that used to hide behind the tree walker's
+//! Rust panics.
 
 use ped_core::equiv::unspecified_privates;
-use ped_runtime::{interp, Engine, ExecConfig, ParallelMode, Schedule};
+use ped_runtime::{interp, Engine, ExecConfig, Machine, ParallelMode, RunResult, Schedule};
 
 fn tree(config: ExecConfig) -> ExecConfig {
     ExecConfig { engine: Engine::Tree, ..config }
@@ -23,8 +24,12 @@ fn bytecode(config: ExecConfig) -> ExecConfig {
     ExecConfig { engine: Engine::Bytecode, ..config }
 }
 
-/// Threaded configurations both engines are swept over.
-fn threaded_configs() -> Vec<ExecConfig> {
+fn simulate(procs: usize) -> ExecConfig {
+    ExecConfig { mode: ParallelMode::Simulate(Machine::with_procs(procs)), ..ExecConfig::default() }
+}
+
+/// Parallel configurations both engines are swept over.
+fn parallel_configs() -> Vec<ExecConfig> {
     let mut configs = Vec::new();
     for threads in [1usize, 2, 4] {
         for schedule in [Schedule::Static, Schedule::Dynamic(3), Schedule::Guided] {
@@ -35,12 +40,27 @@ fn threaded_configs() -> Vec<ExecConfig> {
             });
         }
     }
+    configs.extend([2, 4, 8].map(simulate));
     configs
 }
 
+/// Per-loop profile ops, invocations and iterations, bitwise and in key
+/// order (wall time is left out).
+fn profile_ops(r: &RunResult) -> Vec<(String, u32, u64, u64, u64)> {
+    let mut rows: Vec<_> = r
+        .profile
+        .iter()
+        .map(|((unit, sid), s)| (unit.clone(), sid.0, s.invocations, s.iterations, s.ops.to_bits()))
+        .collect();
+    rows.sort();
+    rows
+}
+
 /// Tree serial is the oracle; bytecode must match it bitwise in serial
-/// (printed, memory, steps, vtime) and across every threaded schedule
-/// (printed, memory minus unspecified privates).
+/// (printed, memory, steps, vtime) and across every parallel configuration
+/// (printed, memory minus unspecified privates). Simulate is deterministic,
+/// so there the two engines must also charge the same `vtime`, `steps`
+/// and per-loop profile ops.
 fn assert_engines_agree(label: &str, src: &str) {
     let skip = unspecified_privates(&ped_fortran::parse_program(src).expect("source parses"));
     let (oracle, oracle_mem) = interp::run_source_with_memory(src, tree(ExecConfig::default()))
@@ -58,7 +78,8 @@ fn assert_engines_agree(label: &str, src: &str) {
     );
 
     let oracle_mem: Vec<_> = oracle_mem.into_iter().filter(|(n, _)| !skip.contains(n)).collect();
-    for config in threaded_configs() {
+    for config in parallel_configs() {
+        let mut runs = Vec::new();
         for (engine_name, cfg) in [("tree", tree(config)), ("bytecode", bytecode(config))] {
             let sub = format!("{label}: {engine_name} {:?}/{}", cfg.mode, cfg.schedule);
             let (r, mem) = interp::run_source_with_memory(src, cfg)
@@ -66,6 +87,14 @@ fn assert_engines_agree(label: &str, src: &str) {
             assert_eq!(oracle.printed, r.printed, "{sub}: printed output diverged");
             let mem: Vec<_> = mem.into_iter().filter(|(n, _)| !skip.contains(n)).collect();
             assert_eq!(oracle_mem, mem, "{sub}: final memory diverged");
+            runs.push(r);
+        }
+        if let ParallelMode::Simulate(m) = config.mode {
+            let sub = format!("{label}: Simulate({})", m.procs);
+            let (t, b) = (&runs[0], &runs[1]);
+            assert!(t.vtime == b.vtime, "{sub}: vtime diverged ({} vs {})", t.vtime, b.vtime);
+            assert_eq!(t.steps, b.steps, "{sub}: step counts diverged");
+            assert_eq!(profile_ops(t), profile_ops(b), "{sub}: loop profiles diverged");
         }
     }
 }
@@ -91,7 +120,7 @@ fn engines_agree_on_generated_programs() {
             seed,
         });
         let mut ped = ped_core::Ped::open(&src).unwrap();
-        ped_bench::parallelize_everything(&mut ped);
+        ped_core::autoparallelize(&mut ped);
         assert_engines_agree(&format!("seed {seed}"), &ped.source());
     }
 }
@@ -124,7 +153,7 @@ fn shadow_logs_agree_across_engines() {
             seed,
         });
         let mut ped = ped_core::Ped::open(&src).unwrap();
-        ped_bench::parallelize_everything(&mut ped);
+        ped_core::autoparallelize(&mut ped);
         let src = ped.source();
         let oracle = interp::run_source(&src, tree(shadow_cfg))
             .unwrap_or_else(|e| panic!("seed {seed}: tree shadow: {e}"));
@@ -246,9 +275,11 @@ fn int_min_intrinsics_agree_across_engines() {
 }
 
 /// Step-budget parity: `max_steps` aborts at the same statement with the
-/// same recorded step count in both engines, serially; under threads the
-/// abort stays within the cap in both. Swept across budgets so the abort
-/// lands in different loop phases.
+/// same recorded step count in both engines, serially and simulated (the
+/// simulated machine runs its blocks in iteration order, so it stops
+/// exactly where serial execution does); under threads the abort stays
+/// within the cap in both. Swept across budgets so the abort lands in
+/// different loop phases.
 #[test]
 fn step_budget_aborts_identically_across_engines() {
     for seed in 0u64..6 {
@@ -260,7 +291,7 @@ fn step_budget_aborts_identically_across_engines() {
             seed,
         });
         let mut ped = ped_core::Ped::open(&src).unwrap();
-        ped_bench::parallelize_everything(&mut ped);
+        ped_core::autoparallelize(&mut ped);
         let src = ped.source();
         let total = interp::run_source(&src, ExecConfig::default()).expect("runs").steps;
         for cap in [total / 7, total / 3, (2 * total) / 3] {
@@ -274,6 +305,18 @@ fn step_budget_aborts_identically_across_engines() {
             assert_eq!(te.message, be.message, "{label}: abort messages differ");
             assert_eq!(te.steps, be.steps, "{label}: abort step counts differ");
             assert_eq!(te.steps, cap, "{label}: serial abort overshot the cap");
+
+            for procs in [2usize, 4] {
+                let scfg = ExecConfig { max_steps: cap, ..simulate(procs) };
+                for (engine_name, cfg) in [("tree", tree(scfg)), ("bytecode", bytecode(scfg))] {
+                    let e = interp::run_source(&src, cfg).expect_err(&format!(
+                        "{label}: {engine_name} simulate({procs}) must abort"
+                    ));
+                    let sub = format!("{label}: {engine_name} simulate({procs})");
+                    assert_eq!(e.message, te.message, "{sub}: abort message differs from serial");
+                    assert_eq!(e.steps, te.steps, "{sub}: abort step count differs from serial");
+                }
+            }
 
             for threads in [2usize, 4] {
                 let tcfg = ExecConfig {
@@ -294,4 +337,33 @@ fn step_budget_aborts_identically_across_engines() {
             }
         }
     }
+}
+
+/// Simulate runs a `PARALLEL DO` through the same chunk and merge code as
+/// Threads, so it has Threads' semantics where the dialect leaves a
+/// choice: a private variable read after the loop keeps its pre-loop
+/// value, RETURN/STOP inside the loop is an error, and a profiled run
+/// reports the engine that ran it.
+#[test]
+fn simulate_has_the_threaded_semantics() {
+    let private = "program p\nreal a(8)\nt1 = -1.0\nparallel do i = 1, 8 private(t1)\n\
+        t1 = i * 2.0\na(i) = t1\nenddo\nprint *, t1, a(8)\nend\n";
+    let early_exit = "program r\nreal a(8)\nparallel do i = 1, 8\na(i) = 1.0\n\
+        if (i .eq. 3) then\nstop\nendif\nenddo\nprint *, a(1)\nend\n";
+    let threads = ExecConfig { mode: ParallelMode::Threads(2), ..ExecConfig::default() };
+    for config in [simulate(4), threads] {
+        for cfg in [tree(config), bytecode(config)] {
+            let sub = format!("{:?} {:?}", cfg.engine, cfg.mode);
+            let r = interp::run_source(private, cfg).unwrap_or_else(|e| panic!("{sub}: {e}"));
+            assert_eq!(r.printed, vec!["-1.0 16.0"], "{sub}: private leaked out of the loop");
+            let e = interp::run_source(early_exit, cfg).expect_err(&format!("{sub}: must fail"));
+            assert_eq!(e.message, "RETURN/STOP inside a PARALLEL DO is not supported", "{sub}");
+        }
+    }
+
+    let ped = ped_core::Ped::open_profiled(private).unwrap();
+    ped.run(bytecode(simulate(4))).unwrap();
+    assert_eq!(ped.profile_report().engine, "bytecode");
+    ped.run(tree(simulate(4))).unwrap();
+    assert_eq!(ped.profile_report().engine, "tree");
 }

@@ -90,7 +90,7 @@ fn profile_report_contents_match_session() {
     assert_eq!(ped.profile_report().cache.graphs_reused, before + 1);
 }
 
-/// The `engine` field tracks the most recent run's effective engine.
+/// The `engine` field tracks the engine of the most recent run.
 #[test]
 fn report_stamps_the_run_engine() {
     let src = suite_source();

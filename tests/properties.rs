@@ -199,7 +199,7 @@ fn parallelization_preserves_semantics() {
         let serial = ped_runtime::interp::run_source(&src, ped_runtime::ExecConfig::default())
             .expect("generated programs run");
         let mut ped = ped_core::Ped::open(&src).unwrap();
-        ped_bench::parallelize_everything(&mut ped);
+        ped_core::autoparallelize(&mut ped);
         let sim = ped
             .run(ped_runtime::ExecConfig {
                 mode: ped_runtime::ParallelMode::Simulate(ped_runtime::Machine::alliant8()),
@@ -233,7 +233,7 @@ fn execution_modes_agree_bitwise() {
             seed,
         });
         let mut ped = ped_core::Ped::open(&src).unwrap();
-        let converted = ped_bench::parallelize_everything(&mut ped);
+        let converted = ped_core::autoparallelize(&mut ped);
         let par_src = ped.source();
         let skip = unspecified_privates(ped.program());
 

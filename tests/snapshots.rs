@@ -13,8 +13,11 @@
 //! rewrites the files; commit the diff together with the change that caused
 //! it.
 
-use ped_core::{render, AutopilotConfig, DepFilter, Ped, SourceFilter};
+use ped_bench::apply_suite_assertions;
+use ped_core::{autoparallelize, render, AutopilotConfig, DepFilter, Ped, SourceFilter};
+use ped_runtime::{Engine, ExecConfig, Machine, ParallelMode};
 use ped_workloads::all_programs;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 fn snapshot_dir() -> PathBuf {
@@ -151,4 +154,45 @@ fn suggest_pane_matches_snapshots() {
          if the change is intended):\n{}",
         failures.join("\n")
     );
+}
+
+/// `vtime` and `steps` of every suite program, after its assertions and
+/// autopar, on the simulated machine with 2, 4 and 8 processors: one line
+/// per (program, processors). `vtime` prints in shortest round-trip form,
+/// so equal text means bit-equal charges.
+fn render_simulate(engine: Engine) -> String {
+    let mut out = String::new();
+    for w in all_programs() {
+        let mut ped = Ped::open(w.source).unwrap();
+        apply_suite_assertions(&mut ped, w.name);
+        autoparallelize(&mut ped);
+        for procs in [2, 4, 8] {
+            let config = ExecConfig {
+                mode: ParallelMode::Simulate(Machine::with_procs(procs)),
+                engine,
+                ..ExecConfig::default()
+            };
+            let r = ped.run(config).unwrap();
+            writeln!(out, "{} p={procs} vtime={:?} steps={}", w.name, r.vtime, r.steps).unwrap();
+        }
+    }
+    out
+}
+
+/// The simulated machine's charges (`tests/snapshots/simulate.txt`) are
+/// the same on both engines: the speedup tables and the estimator's
+/// calibration read them.
+#[test]
+fn simulate_charges_match_snapshot() {
+    let path = snapshot_dir().join("simulate.txt");
+    if blessing() {
+        std::fs::write(&path, render_simulate(Engine::Tree)).unwrap();
+    }
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!("missing snapshot {} ({e}); bless with UPDATE_SNAPSHOTS=1", path.display())
+    });
+    for engine in [Engine::Tree, Engine::Bytecode] {
+        let got = render_simulate(engine);
+        assert!(got == want, "{engine}: simulated charges diverged: {}", first_diff(&got, &want));
+    }
 }

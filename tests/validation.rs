@@ -12,8 +12,8 @@
 //! analysis (an edge or a scalar classification), and the shadow log is
 //! bit-identical between serial and threaded execution.
 
-use ped_bench::{apply_suite_assertions, parallelize_everything};
-use ped_core::{Ped, RaceVerdict, ValidationReport};
+use ped_bench::apply_suite_assertions;
+use ped_core::{autoparallelize, Ped, RaceVerdict, ValidationReport};
 use ped_runtime::{ExecConfig, Machine, ObsKind, ParallelMode};
 use ped_workloads::generator::{gen_source, GenConfig};
 use ped_workloads::{all_programs, racy};
@@ -23,7 +23,7 @@ use ped_workloads::{all_programs, racy};
 fn parallelized(name: &str, source: &str) -> Ped {
     let mut ped = Ped::open(source).unwrap();
     apply_suite_assertions(&mut ped, name);
-    assert!(parallelize_everything(&mut ped) > 0, "{name}: nothing parallelized");
+    assert!(autoparallelize(&mut ped) > 0, "{name}: nothing parallelized");
     ped
 }
 
@@ -76,7 +76,7 @@ fn duplicate_index_contradicts_the_permutation_deletion() {
     let mut ped = Ped::open(&src).unwrap();
     let rejected = apply_suite_assertions(&mut ped, "onedim");
     assert!(rejected > 0, "the (false) permutation assertion deletes pending deps");
-    parallelize_everything(&mut ped);
+    autoparallelize(&mut ped);
     assert!(ped.source().contains("parallel do"));
     let r = check(&mut ped);
     assert!(!r.clean(), "duplicate index must race:\n{}", r.render_text());
@@ -186,7 +186,7 @@ fn autoparallelized_generated_programs_are_clean() {
             stmts_per_loop: 3,
         });
         let mut ped = Ped::open(&src).unwrap();
-        parallelize_everything(&mut ped);
+        autoparallelize(&mut ped);
         let r = check(&mut ped);
         assert!(r.clean(), "seed {seed}:\n{}", r.render_text());
     }
@@ -296,7 +296,7 @@ fn array_privatized_loops_are_bit_identical_across_engines_modes_schedules() {
             stmts_per_loop: 2,
         });
         let mut ped = Ped::open(&gsrc).unwrap();
-        parallelize_everything(&mut ped);
+        autoparallelize(&mut ped);
         subjects.push((format!("gen-{seed}"), ped.source()));
     }
     assert!(
