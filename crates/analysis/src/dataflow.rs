@@ -109,11 +109,6 @@ impl BitSet {
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
-
-    /// True if no bit is set.
-    pub fn is_clear(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
 }
 
 /// Direction of a data-flow problem.

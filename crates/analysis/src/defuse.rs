@@ -126,11 +126,6 @@ impl DefUse {
     pub fn uses_of(&self, def: usize) -> impl Iterator<Item = StmtId> + '_ {
         self.edges.iter().filter(move |e| e.def == def).map(|e| e.use_stmt)
     }
-
-    /// All defs at a statement.
-    pub fn defs_at(&self, stmt: StmtId) -> impl Iterator<Item = &Def> {
-        self.defs.iter().filter(move |d| d.stmt == stmt)
-    }
 }
 
 #[cfg(test)]

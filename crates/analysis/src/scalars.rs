@@ -42,13 +42,6 @@ pub enum ScalarClass {
     Shared,
 }
 
-impl ScalarClass {
-    /// True when this classification blocks parallelization of the loop.
-    pub fn blocks_parallelization(&self) -> bool {
-        matches!(self, ScalarClass::Shared)
-    }
-}
-
 /// Result of the definite-assignment / exposed-use walk over a loop body.
 #[derive(Debug, Default)]
 struct BodyFacts {

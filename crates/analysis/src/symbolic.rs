@@ -87,13 +87,6 @@ impl Affine {
     pub fn vars(&self) -> impl Iterator<Item = SymId> + '_ {
         self.terms.keys().copied()
     }
-
-    /// Restrict to the given variables; everything else must be absent for
-    /// the result to be `Some` — used to check that a subscript involves
-    /// only loop indices.
-    pub fn only_vars(&self, allowed: &HashSet<SymId>) -> bool {
-        self.terms.keys().all(|v| allowed.contains(v))
-    }
 }
 
 /// Convert an expression to affine form.

@@ -5,12 +5,14 @@
 //! annotation stripped**: plain serial `do` loops. The autopilot must
 //! rediscover the parallelization by itself — enumerate candidate plans,
 //! prune them through the dependence machinery, pick the winner by
-//! composed-nest estimate, apply it, prove bit-identity against the
-//! pre-transform serial run, and then measure the real speedup on the
-//! worker pool. Each (predicted, measured) pair feeds the calibration
-//! state, and the post-calibration worst-case ratio must be ≤ 2 on every
-//! applied plan — and no looser than the uncalibrated ratio, which the
-//! log-midpoint correction guarantees by construction.
+//! composed-nest estimate, apply it, and prove bit-identity against the
+//! pre-transform serial run. The bench then measures each applied plan's
+//! parallel loop on the worker pool itself (the product never measures):
+//! the minimum loop wall over `REPEATS` runs, serial over
+//! `Threads(THREADS)`. Each (predicted, measured) pair feeds the
+//! calibration state, and the post-calibration worst-case ratio must be
+//! ≤ 2 on every applied plan — and no looser than the uncalibrated ratio,
+//! which the log-midpoint correction guarantees by construction.
 //!
 //! The measured marks are compared against the hand-parallelized E14
 //! variants of the same kernels (same min-of-repeats protocol): the
@@ -24,7 +26,7 @@
 //! Results go to `target/BENCH_E18.json`.
 
 use ped_bench::Table;
-use ped_core::{autopilot, AutopilotConfig, Ped};
+use ped_core::{autopilot, AutopilotConfig, NestPlan, Ped};
 use ped_obs::json::Json;
 use ped_perf::CalibrationState;
 use ped_runtime::{interp, ExecConfig, Machine, ParallelMode};
@@ -130,6 +132,25 @@ fn timed_wall(label: &str, src: &str, config: &ExecConfig) -> u64 {
     best
 }
 
+/// Measured speedup of an applied plan's parallel loop, from the loop
+/// profile: minimum serial loop wall over `REPEATS` runs divided by the
+/// minimum `Threads(THREADS)` loop wall (the E14 protocol). `None` when
+/// the loop never shows up in the profile.
+fn plan_speedup(ped: &Ped, plan: &NestPlan) -> Option<f64> {
+    let par_header = plan.result_loops.iter().find(|&&(_, p)| p).map(|&(h, _)| h)?;
+    let key = (plan.unit_name.clone(), par_header);
+    let wall = |config: ExecConfig| -> Option<u64> {
+        let walls: Option<Vec<u64>> = (0..REPEATS)
+            .map(|_| Some(ped.run(config).ok()?.profile.get(&key)?.wall_ns))
+            .collect();
+        walls?.into_iter().min()
+    };
+    let serial = wall(ExecConfig::default())? as f64;
+    let par = wall(ExecConfig { mode: ParallelMode::Threads(THREADS), ..ExecConfig::default() })?
+        as f64;
+    (serial > 0.0 && par > 0.0).then(|| serial / par)
+}
+
 /// Measured whole-program speedup of `src`: serial wall / Threads(N) wall.
 fn measured_speedup(label: &str, src: &str) -> f64 {
     let serial = timed_wall(&format!("{label}/serial"), src, &ExecConfig::default());
@@ -146,14 +167,7 @@ fn main() {
     println!("E18: autopilot — search, verify, measure, calibrate");
     println!("host cores: {cores} (speedup acceptance {})", if cores >= 4 { "ON" } else { "OFF" });
 
-    let cfg = AutopilotConfig {
-        machine: Machine::with_procs(THREADS),
-        verify: true,
-        measure: true,
-        threads: THREADS,
-        repeats: REPEATS,
-        ..AutopilotConfig::default()
-    };
+    let cfg = AutopilotConfig { machine: Machine::with_procs(THREADS), verify: true };
 
     let mut table =
         Table::new(&["kernel", "plan", "pred", "meas(4)", "hand(4)", "calib", "verdict"]);
@@ -183,17 +197,21 @@ fn main() {
         .unwrap_or_else(|e| panic!("{name} threads: {e}"));
         assert_eq!(reference.printed, threaded.printed, "{name}: output diverged");
 
-        // The hot kernel loop's plan: the one with the largest predicted
-        // speedup (the init loops are smaller fry).
-        let hot = out
+        // Every applied plan's loop, measured; the hot kernel loop's plan
+        // is the one with the largest predicted speedup (the init loops
+        // are smaller fry).
+        let applied: Vec<_> = out
             .plans
             .iter()
             .filter(|p| p.applied)
-            .max_by(|a, b| a.plan.predicted.total_cmp(&b.plan.predicted))
+            .map(|p| (p, plan_speedup(&ped, &p.plan)))
+            .collect();
+        let &(hot, hot_measured) = applied
+            .iter()
+            .max_by(|a, b| a.0.plan.predicted.total_cmp(&b.0.plan.predicted))
             .unwrap_or_else(|| panic!("{name}: no applied plan"));
-        let measured = hot
-            .measured
-            .unwrap_or_else(|| panic!("{name}: hot plan was not measured"));
+        let measured =
+            hot_measured.unwrap_or_else(|| panic!("{name}: hot plan was not measured"));
         let hand_mark = hand.iter().find(|(n, _)| n == name).expect("hand mark").1;
         if cores >= 4 {
             assert!(
@@ -206,8 +224,8 @@ fn main() {
                  hand-parallelized mark {hand_mark:.2}x"
             );
         }
-        for p in out.plans.iter().filter(|p| p.applied) {
-            if let Some(m) = p.measured {
+        for &(p, m) in &applied {
+            if let Some(m) = m {
                 calibration.record(p.plan.predicted, m);
             }
         }
@@ -265,17 +283,11 @@ fn main() {
 
     // Verify-only sweep over the nine-program suite: every applied plan
     // shadow-validated, nothing left rejected in the session.
-    let suite_cfg = AutopilotConfig {
-        machine: Machine::with_procs(THREADS),
-        verify: true,
-        measure: false,
-        ..AutopilotConfig::default()
-    };
     let mut suite_rows = Vec::new();
     let mut suite_applied = 0u64;
     for w in all_programs() {
         let mut ped = Ped::open(w.source).unwrap();
-        let out = autopilot(&mut ped, &suite_cfg);
+        let out = autopilot(&mut ped, &cfg);
         assert!(out.notes.is_empty(), "{}: {:?}", w.name, out.notes);
         let report = ped
             .check(ExecConfig::default())

@@ -93,14 +93,7 @@ pub fn parallelize_profitable(ped: &mut Ped) -> usize {
                 && ped.apply(ui, h, &ped_transform::Xform::Parallelize).is_ok()
             {
                 converted += 1;
-                let unit = &ped.program().units[ui];
-                let mut nested = Vec::new();
-                ped_fortran::visit::for_each_stmt(unit, &unit.loop_of(h).body, &mut |s| {
-                    if unit.is_loop(s) {
-                        nested.push(s);
-                    }
-                });
-                covered.extend(nested);
+                ped_core::autopar::cover_nested(&ped.program().units[ui], h, &mut covered);
             }
         }
     }

@@ -7,7 +7,8 @@
 //! means.
 
 use crate::session::Ped;
-use ped_fortran::{StmtId, SymId};
+use ped_fortran::visit::for_each_stmt;
+use ped_fortran::{ProgramUnit, StmtId, SymId};
 use ped_transform::Xform;
 
 /// Convert every currently-parallelizable loop into a `PARALLEL DO`,
@@ -29,17 +30,52 @@ pub fn autoparallelize(ped: &mut Ped) -> usize {
                 || try_array_privatize(ped, ui, h);
             if done {
                 converted += 1;
-                // Don't double-parallelize inner loops.
-                let unit = &ped.program().units[ui];
-                ped_fortran::visit::for_each_stmt(unit, &unit.loop_of(h).body, &mut |s| {
-                    if unit.is_loop(s) {
-                        covered.push(s);
-                    }
-                });
+                cover_nested(&ped.program().units[ui], h, &mut covered);
             }
         }
     }
     converted
+}
+
+/// Add every loop nested inside `header` to `covered`, so an
+/// outermost-first traversal never converts a loop inside one it already
+/// converted.
+pub fn cover_nested(unit: &ProgramUnit, header: StmtId, covered: &mut Vec<StmtId>) {
+    if !unit.is_loop(header) {
+        return;
+    }
+    for_each_stmt(unit, &unit.loop_of(header).body, &mut |s| {
+        if unit.is_loop(s) {
+            covered.push(s);
+        }
+    });
+}
+
+/// Arrays whose dependences block parallelization of `header` but which
+/// the section analysis proved privatizable: the privatization recipe's
+/// ingredient list. `None` when the loop is blocked by anything else (or
+/// by nothing at all, when plain `Parallelize` covers it).
+pub(crate) fn privatizable_blockers(
+    ped: &mut Ped,
+    ui: usize,
+    header: StmtId,
+) -> Option<Vec<SymId>> {
+    let g = ped.graph(ui, header).ok()?;
+    let mut needed: Vec<SymId> = Vec::new();
+    for d in g.deps.iter().filter(|d| d.blocks_parallel()) {
+        let v = d.var?;
+        if !g.array_classes.get(&v).is_some_and(|c| c.privatizable) {
+            return None;
+        }
+        if !needed.contains(&v) {
+            needed.push(v);
+        }
+    }
+    if needed.is_empty() {
+        return None;
+    }
+    needed.sort();
+    Some(needed)
 }
 
 /// Parallelize-via-privatization fallback: when every blocking dependence
@@ -48,25 +84,6 @@ pub fn autoparallelize(ped: &mut Ped) -> usize {
 /// promotes the loop to `PARALLEL DO` with full scalar clauses. Returns
 /// whether the loop converted.
 fn try_array_privatize(ped: &mut Ped, ui: usize, h: StmtId) -> bool {
-    let Ok(g) = ped.graph(ui, h) else { return false };
-    let mut needed: Vec<SymId> = Vec::new();
-    for d in g.deps.iter().filter(|d| d.blocks_parallel()) {
-        let Some(v) = d.var else { return false };
-        if !g.array_classes.get(&v).is_some_and(|c| c.privatizable) {
-            return false;
-        }
-        if !needed.contains(&v) {
-            needed.push(v);
-        }
-    }
-    if needed.is_empty() {
-        return false; // nothing blocked: plain Parallelize covers it
-    }
-    needed.sort();
-    for v in needed {
-        if ped.apply(ui, h, &Xform::ArrayPrivatize { var: v }).is_err() {
-            return false;
-        }
-    }
-    true
+    let Some(needed) = privatizable_blockers(ped, ui, h) else { return false };
+    needed.into_iter().all(|v| ped.apply(ui, h, &Xform::ArrayPrivatize { var: v }).is_ok())
 }

@@ -7,10 +7,11 @@
 //! locality, strip-mine for chunking), prunes candidates through the
 //! existing dependence machinery for safety, scores survivors with the
 //! estimator — charging the *composed* nest, never a per-step sum — and
-//! verifies winners by actually executing them: bit-identity against the
-//! pre-transform program across engines and thread counts, a clean
-//! shadow-validator pass, and (optionally) a measured speedup that feeds
-//! the estimator's calibration.
+//! verifies winners by actually executing them: a clean shadow-validator
+//! pass whose serial run is bit-identical to the pre-transform program,
+//! then the execution oracle's mode matrix ([`crate::equiv::check_modes`])
+//! against that run. Measuring real speedups is the E18 bench's business,
+//! not the product's.
 //!
 //! Every candidate is trial-applied through the session's transform
 //! machinery and rolled back with [`Ped::abandon`], so a rejected plan
@@ -18,45 +19,33 @@
 //! as the search found them. Applied plans sit on the ordinary undo stack
 //! like any user transformation.
 
-use crate::equiv::unspecified_privates;
+use crate::autopar::{cover_nested, privatizable_blockers};
+use crate::equiv::{self, Run};
 use crate::session::Ped;
 use ped_fortran::visit::for_each_stmt;
-use ped_fortran::{ProgramUnit, StmtId, SymId};
+use ped_fortran::{ProgramUnit, StmtId};
 use ped_obs::AutopilotReport;
-use ped_perf::{CalibrationState, Estimator};
-use ped_runtime::{Engine, ExecConfig, Machine, MemorySnapshot, ParallelMode, RunResult, Schedule};
+use ped_perf::Estimator;
+use ped_runtime::{Engine, ExecConfig, Machine};
 use ped_transform::{Safety, Xform};
+
+/// Predicted speedup a candidate must beat to survive profitability
+/// pruning.
+const MIN_SPEEDUP: f64 = 1.05;
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
 pub struct AutopilotConfig {
     /// Machine model the estimator scores candidates against.
     pub machine: Machine,
-    /// Execute applied plans and roll back any that are not bit-identical
-    /// to the pre-transform serial run or fail the shadow validator.
+    /// Execute applied plans and roll back any that fail the shadow
+    /// validator or the execution oracle.
     pub verify: bool,
-    /// Measure each applied plan's real speedup (serial vs threaded
-    /// wall-clock) and feed it into the calibration state.
-    pub measure: bool,
-    /// Host threads used for measurement.
-    pub threads: usize,
-    /// Wall-clock repeats per measurement (minimum taken, like E14).
-    pub repeats: usize,
-    /// Predicted speedup a candidate must beat to survive profitability
-    /// pruning.
-    pub min_speedup: f64,
 }
 
 impl Default for AutopilotConfig {
     fn default() -> AutopilotConfig {
-        AutopilotConfig {
-            machine: Machine::alliant8(),
-            verify: true,
-            measure: false,
-            threads: 4,
-            repeats: 3,
-            min_speedup: 1.05,
-        }
+        AutopilotConfig { machine: Machine::alliant8(), verify: true }
     }
 }
 
@@ -98,8 +87,6 @@ pub struct PlanOutcome {
     pub plan: NestPlan,
     /// Whether it is still applied in the session.
     pub applied: bool,
-    /// Measured speedup, when measurement ran.
-    pub measured: Option<f64>,
     /// `applied`, or the rejection reason.
     pub verdict: String,
 }
@@ -109,27 +96,15 @@ pub struct PlanOutcome {
 pub struct AutopilotOutcome {
     /// Per-nest winners with their dispositions.
     pub plans: Vec<PlanOutcome>,
-    /// Search counters (the calibration ratios are left to
-    /// [`AutopilotOutcome::report`]).
+    /// Search counters: the `autopilot` profile block. Its calibration
+    /// ratios stay zero; only the E18 bench measures.
     pub stats: AutopilotReport,
-    /// Predicted-vs-measured samples (empty unless measurement ran).
-    pub calibration: CalibrationState,
     /// Non-fatal notes (e.g. the reference run failed so verification was
     /// skipped).
     pub notes: Vec<String>,
 }
 
 impl AutopilotOutcome {
-    /// The `autopilot` profile block: the search counters plus the
-    /// calibration ratios.
-    pub fn report(&self) -> AutopilotReport {
-        AutopilotReport {
-            calibration_before: self.calibration.ratio_before(),
-            calibration_after: self.calibration.ratio_after(),
-            ..self.stats.clone()
-        }
-    }
-
     /// One-line summary for batch-mode stderr.
     pub fn summary(&self) -> String {
         format!(
@@ -202,26 +177,10 @@ const STRATEGIES: &[&str] = &[
     "stripmine+parallelize",
 ];
 
-/// Diagnose, then apply one step through the session. Unsafe or
-/// inapplicable verdicts prune; the caller owns rollback of any steps
-/// already applied.
-fn step(ped: &mut Ped, ui: usize, target: StmtId, xform: Xform) -> Result<PlanStep, Prune> {
-    let diag = ped
-        .diagnose(ui, target, &xform)
-        .map_err(|e| Prune::Inapplicable(e.to_string()))?;
-    if let Err(reason) = diag.applicable {
-        return Err(Prune::Inapplicable(reason));
-    }
-    if let Safety::Unsafe(reason) = diag.safe {
-        return Err(Prune::Unsafe(reason));
-    }
-    ped.apply(ui, target, &xform)
-        .map(|_| PlanStep { target, xform })
-        .map_err(|e| Prune::Inapplicable(e.to_string()))
-}
-
-/// Like [`step`], but returns the statements the rewrite created.
-fn step_with_new(
+/// Diagnose, then apply one step through the session, returning it with
+/// the statements the rewrite created. Unsafe or inapplicable verdicts
+/// prune; the caller owns rollback of any steps already applied.
+fn step(
     ped: &mut Ped,
     ui: usize,
     target: StmtId,
@@ -236,33 +195,9 @@ fn step_with_new(
     if let Safety::Unsafe(reason) = diag.safe {
         return Err(Prune::Unsafe(reason));
     }
-    match ped.apply(ui, target, &xform) {
-        Ok(applied) => Ok((PlanStep { target, xform }, applied.new_stmts)),
-        Err(e) => Err(Prune::Inapplicable(e.to_string())),
-    }
-}
-
-/// Arrays whose dependences block parallelization of `header` but which
-/// the section analysis proved privatizable — the privatize strategy's
-/// ingredient list. `None` when the loop is blocked by anything else (or
-/// by nothing at all).
-fn privatizable_blockers(ped: &mut Ped, ui: usize, header: StmtId) -> Option<Vec<SymId>> {
-    let g = ped.graph(ui, header).ok()?;
-    let mut needed: Vec<SymId> = Vec::new();
-    for d in g.deps.iter().filter(|d| d.blocks_parallel()) {
-        let v = d.var?;
-        if !g.array_classes.get(&v).is_some_and(|c| c.privatizable) {
-            return None;
-        }
-        if !needed.contains(&v) {
-            needed.push(v);
-        }
-    }
-    if needed.is_empty() {
-        return None;
-    }
-    needed.sort();
-    Some(needed)
+    ped.apply(ui, target, &xform)
+        .map(|applied| (PlanStep { target, xform }, applied.new_stmts))
+        .map_err(|e| Prune::Inapplicable(e.to_string()))
 }
 
 /// The loop directly following `header` in its enclosing block — the
@@ -317,7 +252,7 @@ fn run_strategy(
     }
     let result = match strategy {
         "parallelize" => {
-            steps.push(step(ped, ui, header, Xform::Parallelize)?);
+            steps.push(step(ped, ui, header, Xform::Parallelize)?.0);
             vec![(header, true)]
         }
         "privatize+parallelize" => {
@@ -330,22 +265,22 @@ fn run_strategy(
                 // The first privatization promotes the loop to PARALLEL DO
                 // with full scalar clauses; later ones extend it.
                 match step(ped, ui, header, Xform::ArrayPrivatize { var: v }) {
-                    Ok(s) => steps.push(s),
+                    Ok((s, _)) => steps.push(s),
                     Err(e) => prune!(ped, e),
                 }
             }
             vec![(header, true)]
         }
         "interchange+parallelize" => {
-            steps.push(step(ped, ui, header, Xform::Interchange)?);
+            steps.push(step(ped, ui, header, Xform::Interchange)?.0);
             match step(ped, ui, header, Xform::Parallelize) {
-                Ok(s) => steps.push(s),
+                Ok((s, _)) => steps.push(s),
                 Err(e) => prune!(ped, e),
             }
             vec![(header, true)]
         }
         "distribute+parallelize" => {
-            let (first, new_stmts) = step_with_new(ped, ui, header, Xform::Distribute)?;
+            let (first, new_stmts) = step(ped, ui, header, Xform::Distribute)?;
             steps.push(first);
             // The distributed pieces: surviving original header plus the
             // created loops. Parallelize whichever pieces are safe.
@@ -362,7 +297,7 @@ fn run_strategy(
             let mut result: Vec<(StmtId, bool)> = Vec::new();
             for piece in pieces {
                 match step(ped, ui, piece, Xform::Parallelize) {
-                    Ok(s) => {
+                    Ok((s, _)) => {
                         steps.push(s);
                         result.push((piece, true));
                     }
@@ -381,23 +316,22 @@ fn run_strategy(
             let Some(partner) = following_loop(&ped.program().units[ui], header) else {
                 return Err(Prune::Inapplicable("no directly-following loop to fuse".into()));
             };
-            steps.push(step(ped, ui, header, Xform::Fuse { with: partner })?);
+            steps.push(step(ped, ui, header, Xform::Fuse { with: partner })?.0);
             match step(ped, ui, header, Xform::Parallelize) {
-                Ok(s) => steps.push(s),
+                Ok((s, _)) => steps.push(s),
                 Err(e) => prune!(ped, e),
             }
             vec![(header, true)]
         }
         "stripmine+parallelize" => {
-            let (first, new_stmts) =
-                step_with_new(ped, ui, header, Xform::StripMine { size: 64 })?;
+            let (first, new_stmts) = step(ped, ui, header, Xform::StripMine { size: 64 })?;
             steps.push(first);
             let Some(&tile) = new_stmts.iter().find(|&&s| ped.program().units[ui].is_loop(s))
             else {
                 prune!(ped, Prune::Inapplicable("strip mining created no tile loop".into()));
             };
             match step(ped, ui, tile, Xform::Parallelize) {
-                Ok(s) => steps.push(s),
+                Ok((s, _)) => steps.push(s),
                 Err(e) => prune!(ped, e),
             }
             vec![(tile, true)]
@@ -452,7 +386,7 @@ fn search_nest(
                 let predicted =
                     composed_speedup(ped, ui, &trial.result_loops, baseline_serial, cfg.machine);
                 ped.abandon(trial.steps.len());
-                if predicted <= cfg.min_speedup {
+                if predicted <= MIN_SPEEDUP {
                     stats.pruned_unprofitable += 1;
                     if blocked.is_empty() {
                         blocked = format!("below profitability floor ({predicted:.2}x)");
@@ -487,143 +421,29 @@ fn search_nest(
     (best, blocked)
 }
 
-/// Compare final memories on the variables present in both snapshots
-/// (transforms may introduce fresh scalars, e.g. strip-mine's tile
-/// index; they never remove variables, so the intersection covers every
-/// pre-transform variable), skipping names whose post-loop value the
-/// dialect leaves unspecified.
-fn mem_matches(
-    reference: &MemorySnapshot,
-    candidate: &MemorySnapshot,
-    skip: &[String],
-) -> Result<(), String> {
-    let cand: std::collections::HashMap<&str, &Vec<u64>> =
-        candidate.iter().map(|(n, bits)| (n.as_str(), bits)).collect();
-    for (name, bits) in reference {
-        if skip.contains(name) {
-            continue;
-        }
-        if let Some(other) = cand.get(name.as_str()) {
-            if *other != bits {
-                return Err(format!("final memory diverged at '{name}'"));
-            }
-        }
-    }
-    Ok(())
-}
-
-fn tree_serial() -> ExecConfig {
-    ExecConfig { engine: Engine::Tree, ..ExecConfig::default() }
-}
-
-/// Execution verification of an applied plan: bit-identity of the
-/// transformed program against the pre-transform serial reference (tree
-/// walker), bit-identity of threaded bytecode runs against the
-/// transformed serial run, and a clean shadow-validator pass.
-fn verify_plan(
-    ped: &mut Ped,
-    ref_run: &RunResult,
-    ref_mem: &MemorySnapshot,
-) -> Result<(), String> {
-    let (serial, serial_mem) = ped
-        .run_with_memory(tree_serial())
-        .map_err(|e| format!("transformed program failed to run: {e}"))?;
-    if serial.printed != ref_run.printed {
-        return Err("printed output diverged from the pre-transform serial run".into());
-    }
-    mem_matches(ref_mem, &serial_mem, &[])?;
-    let skip = unspecified_privates(ped.program());
-    let threaded = [
-        (
-            "threads-2-static",
-            ExecConfig {
-                mode: ParallelMode::Threads(2),
-                schedule: Schedule::Static,
-                ..ExecConfig::default()
-            },
-        ),
-        (
-            "threads-4-dynamic",
-            ExecConfig {
-                mode: ParallelMode::Threads(4),
-                schedule: Schedule::Dynamic(3),
-                ..ExecConfig::default()
-            },
-        ),
-    ];
-    let serial_mem_filtered: MemorySnapshot = serial_mem
-        .iter()
-        .filter(|(n, _)| !skip.contains(n))
-        .cloned()
-        .collect();
-    for (label, config) in threaded {
-        let (run, mem) = ped
-            .run_with_memory(config)
-            .map_err(|e| format!("{label}: {e}"))?;
-        if run.printed != serial.printed {
-            return Err(format!("{label}: printed output diverged from serial"));
-        }
-        mem_matches(&serial_mem_filtered, &mem, &skip).map_err(|e| format!("{label}: {e}"))?;
-    }
-    let report = ped
-        .check(ExecConfig::default())
+/// Execution verification of an applied plan: one shadow-checked serial
+/// run that must be race-free and bit-identical to the pre-transform
+/// reference (nothing skipped), then every oracle mode against that run.
+fn verify_plan(ped: &mut Ped, reference: &Run) -> Result<(), String> {
+    let (report, run, memory) = ped
+        .check_logged(ExecConfig::default())
         .map_err(|e| format!("shadow check failed to run: {e}"))?;
     if !report.clean() {
         return Err(format!("shadow check found {} race(s)", report.race_count()));
     }
-    Ok(())
-}
-
-/// Measure a plan's real speedup: minimum serial wall time over the
-/// parallel header divided by minimum threaded wall time (the E14
-/// protocol). `None` when the loop never shows up in the profile.
-fn measure_plan(ped: &Ped, plan: &NestPlan, cfg: &AutopilotConfig) -> Option<f64> {
-    let par_header = plan.result_loops.iter().find(|&&(_, p)| p).map(|&(h, _)| h)?;
-    let key = (plan.unit_name.clone(), par_header);
-    let wall = |config: ExecConfig| -> Option<u64> {
-        let mut best: Option<u64> = None;
-        for _ in 0..cfg.repeats.max(1) {
-            let run = ped.run(config).ok()?;
-            let ns = run.profile.get(&key)?.wall_ns;
-            best = Some(best.map_or(ns, |b| b.min(ns)));
-        }
-        best
-    };
-    let serial = wall(ExecConfig::default())? as f64;
-    let par = wall(ExecConfig {
-        mode: ParallelMode::Threads(cfg.threads),
-        ..ExecConfig::default()
-    })? as f64;
-    if serial > 0.0 && par > 0.0 {
-        Some(serial / par)
-    } else {
-        None
-    }
-}
-
-/// Mark every loop inside the plan's result nests as covered, so the
-/// traversal does not parallelize inside an already-parallel region.
-fn cover_nested(ped: &Ped, ui: usize, roots: &[(StmtId, bool)], covered: &mut Vec<StmtId>) {
-    let unit = &ped.program().units[ui];
-    for &(root, _) in roots {
-        if !unit.is_loop(root) {
-            continue;
-        }
-        for_each_stmt(unit, &unit.loop_of(root).body, &mut |s| {
-            if unit.is_loop(s) && !covered.contains(&s) {
-                covered.push(s);
-            }
-        });
-    }
+    let serial = (run, memory);
+    equiv::compare(reference, &serial, &[])
+        .map_err(|d| format!("differs from the pre-transform serial run at {d}"))?;
+    equiv::check_modes(ped, &serial).map_err(|f| f.to_string())
 }
 
 /// Run the planner over every nest of every unit: search, apply the
-/// winner, verify (rolling back failures), optionally measure.
+/// winner, verify (rolling back failures).
 pub fn autopilot(ped: &mut Ped, cfg: &AutopilotConfig) -> AutopilotOutcome {
     let mut outcome = AutopilotOutcome::default();
     // The pre-transform serial reference for bit-identity verification.
     let reference = if cfg.verify {
-        match ped.run_with_memory(tree_serial()) {
+        match ped.run_with_memory(ExecConfig { engine: Engine::Tree, ..ExecConfig::default() }) {
             Ok(r) => Some(r),
             Err(e) => {
                 outcome
@@ -651,40 +471,28 @@ pub fn autopilot(ped: &mut Ped, cfg: &AutopilotConfig) -> AutopilotOutcome {
             // Re-apply the winner (deterministic replay of the trial).
             let Ok(trial) = run_strategy(ped, ui, header, plan.strategy) else { continue };
             let verdict = match &reference {
-                Some((ref_run, ref_mem)) => verify_plan(ped, ref_run, ref_mem),
+                Some(reference) => verify_plan(ped, reference),
                 None => Ok(()),
             };
-            match verdict {
+            let (applied, verdict) = match verdict {
                 Ok(()) => {
                     outcome.stats.plans_applied += 1;
-                    cover_nested(ped, ui, &trial.result_loops, &mut covered);
+                    let unit = &ped.program().units[ui];
                     for &(piece, _) in &trial.result_loops {
+                        cover_nested(unit, piece, &mut covered);
                         if !processed.contains(&piece) {
                             processed.push(piece);
                         }
                     }
-                    let measured = if cfg.measure { measure_plan(ped, &plan, cfg) } else { None };
-                    if let Some(m) = measured {
-                        outcome.calibration.record(plan.predicted, m);
-                    }
-                    outcome.plans.push(PlanOutcome {
-                        plan,
-                        applied: true,
-                        measured,
-                        verdict: "applied".into(),
-                    });
+                    (true, "applied".to_string())
                 }
                 Err(reason) => {
                     ped.abandon(trial.steps.len());
                     outcome.stats.plans_rejected += 1;
-                    outcome.plans.push(PlanOutcome {
-                        plan,
-                        applied: false,
-                        measured: None,
-                        verdict: format!("rejected: {reason}"),
-                    });
+                    (false, format!("rejected: {reason}"))
                 }
-            }
+            };
+            outcome.plans.push(PlanOutcome { plan, applied, verdict });
         }
     }
     outcome
@@ -713,7 +521,7 @@ pub fn suggest(ped: &mut Ped, cfg: &AutopilotConfig) -> Suggestions {
             if let Some(p) = &plan {
                 // A planned nest covers its inner loops, exactly as the
                 // applying traversal would.
-                cover_nested(ped, ui, &[(p.header, true)], &mut covered);
+                cover_nested(&ped.program().units[ui], p.header, &mut covered);
             }
             rows.push(NestSuggestion {
                 unit: ui,

@@ -225,7 +225,7 @@ fn main() {
                     p.verdict
                 );
             }
-            ap_report = Some(out.report());
+            ap_report = Some(out.stats);
         }
         let mut clean = true;
         if profile {

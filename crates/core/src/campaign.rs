@@ -3,31 +3,35 @@
 //!
 //! A campaign pushes every seed of a generated corpus through the full
 //! trust pipeline: **generate → parse/analyze → autopar → shadow check →
-//! bit-equality across engines and execution modes**. The engineering
-//! point is throughput: seeds are claimed from a shared atomic counter by
-//! a fixed pool of workers (work stealing at seed granularity — different
-//! seeds occupy different pipeline stages concurrently), every worker
-//! recycles one [`Ped`] session and one source buffer across all its
-//! seeds ([`Ped::reopen`] resets, it does not rebuild), and all sessions
-//! share one content-addressed [`PairCache`], so a subscript pair proved
-//! independent for seed 17 is a cache hit for seed 901. Results stream to
-//! the aggregator over a bounded channel, keeping memory O(workers), not
-//! O(corpus).
+//! bit-equality across engines and execution modes**. The last stage is
+//! the execution oracle's [`check_modes`] against the check stage's
+//! serial run; the autopilot verifies its plans through the same call.
+//!
+//! The engineering point is throughput: seeds are claimed from a shared
+//! atomic counter by a fixed pool of workers (work stealing at seed
+//! granularity — different seeds occupy different pipeline stages
+//! concurrently), every worker recycles one [`Ped`] session and one
+//! source buffer across all its seeds ([`Ped::reopen`] resets, it does
+//! not rebuild), and all sessions share one content-addressed
+//! [`PairCache`], so a subscript pair proved independent for seed 17 is a
+//! cache hit for seed 901. Results stream to the aggregator over a
+//! bounded channel, keeping memory O(workers), not O(corpus).
 //!
 //! Any discrepancy — a race verdict from the shadow checker, bit
-//! divergence between engines/modes, an analyzer panic, a parse or
-//! runtime error — is delta-debugged against the same oracle down to a
-//! small reproducer that still fails with the same verdict class, and
-//! (optionally) written to disk for regression harvesting.
+//! divergence between engines/modes (whose detail names the mode and the
+//! printed line or memory element where the runs part, with both values),
+//! an analyzer panic, a parse or runtime error — is delta-debugged against
+//! the same oracle down to a small reproducer that still fails with the
+//! same verdict class, and (optionally) written to disk for regression
+//! harvesting.
 
 use crate::autopar::autoparallelize;
-use crate::equiv::unspecified_privates;
+use crate::equiv::check_modes;
 use crate::session::Ped;
 use ped_dep::{CacheStats, PairCache};
-use ped_fortran::Program;
 use ped_obs::json::Json;
 use ped_obs::{AutopilotReport, CampaignReport};
-use ped_runtime::{interp, Engine, ExecConfig, Machine, ParallelMode, Schedule};
+use ped_runtime::ExecConfig;
 use ped_workloads::generator::{gen_source_into, GenConfig};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -454,7 +458,6 @@ fn pipeline(
         // whole point of fuzzing the autopilot.
         let cfg = crate::autopilot::AutopilotConfig {
             verify: false,
-            measure: false,
             ..crate::autopilot::AutopilotConfig::default()
         };
         match catch_unwind(AssertUnwindSafe(|| crate::autopilot::autopilot(ped, &cfg))) {
@@ -493,7 +496,7 @@ fn pipeline(
     let ped = session.as_mut().expect("session is open");
     let par_src = ped.source();
     let checked = catch_unwind(AssertUnwindSafe(|| ped.check_logged(ExecConfig::default())));
-    let (report, reference, ref_mem) = match checked {
+    let (report, run, memory) = match checked {
         Err(panic) => {
             *session = None;
             stage_ns[3] += t.elapsed().as_nanos() as u64;
@@ -516,17 +519,14 @@ fn pipeline(
         return Err((class, detail, par_src));
     }
 
-    // Equivalence: serial bytecode is the reference; the tree engine,
-    // the simulator, and the threaded runtime under two schedules must
-    // match it bit for bit. Every variant runs off the session's
-    // already-parsed AST and the check stage's instrumented run is the
-    // reference.
+    // Equivalence: the check stage's instrumented serial bytecode run is
+    // the reference; every oracle mode must match it bit for bit.
     let t = Instant::now();
-    let equiv = check_equivalence(ped.program(), &reference, ref_mem);
+    let equiv = check_modes(ped, &(run, memory));
     stage_ns[4] += t.elapsed().as_nanos() as u64;
     match equiv {
         Ok(()) => Ok((loops_total, converted, planner)),
-        Err((class, detail)) => Err((class, detail, par_src)),
+        Err(failure) => Err((failure.class(), failure.to_string(), par_src)),
     }
 }
 
@@ -556,90 +556,8 @@ fn verdict_class(v: &crate::check::RaceVerdict) -> &'static str {
     }
 }
 
-/// The engine/mode matrix every seed must survive bit-for-bit.
-fn equivalence_variants() -> [(&'static str, ExecConfig); 4] {
-    [
-        ("tree-serial", ExecConfig { engine: Engine::Tree, ..ExecConfig::default() }),
-        (
-            "simulate-4",
-            ExecConfig {
-                mode: ParallelMode::Simulate(Machine::with_procs(4)),
-                ..ExecConfig::default()
-            },
-        ),
-        (
-            "threads-2-static",
-            ExecConfig {
-                mode: ParallelMode::Threads(2),
-                schedule: Schedule::Static,
-                ..ExecConfig::default()
-            },
-        ),
-        (
-            "threads-4-dynamic",
-            ExecConfig {
-                mode: ParallelMode::Threads(4),
-                schedule: Schedule::Dynamic(3),
-                ..ExecConfig::default()
-            },
-        ),
-    ]
-}
-
-/// Bit-equality across engines and execution modes, sharing one parsed
-/// [`Program`] across every variant and reusing the check stage's serial
-/// run as the reference — the campaign engine parses each seed exactly
-/// once and never re-executes the reference. Printed output and final
-/// main-unit memory (minus private scalars, whose post-loop values the
-/// dialect leaves unspecified) must match the serial bytecode run.
-fn check_equivalence(
-    program: &Program,
-    reference: &interp::RunResult,
-    ref_mem: interp::MemorySnapshot,
-) -> Result<(), (String, String)> {
-    let skip = unspecified_privates(program);
-    let ref_mem: Vec<_> = ref_mem.into_iter().filter(|(n, _)| !skip.contains(n)).collect();
-    for (label, config) in equivalence_variants() {
-        let (r, mem) = interp::Interp::new(program, config)
-            .and_then(|i| i.run_with_memory())
-            .map_err(|e| (format!("runtime-error:{label}"), e.to_string()))?;
-        diff_runs(label, &skip, reference, &ref_mem, r, mem)?;
-    }
-    Ok(())
-}
-
-/// Compare one variant run against the serial reference.
-fn diff_runs(
-    label: &str,
-    skip: &[String],
-    reference: &interp::RunResult,
-    ref_mem: &[(String, Vec<u64>)],
-    r: interp::RunResult,
-    mem: interp::MemorySnapshot,
-) -> Result<(), (String, String)> {
-    if r.printed != reference.printed {
-        return Err((
-            "divergence:printed".to_string(),
-            format!("{label}: printed {:?} vs serial {:?}", r.printed, reference.printed),
-        ));
-    }
-    let mem: Vec<_> = mem.into_iter().filter(|(n, _)| !skip.contains(n)).collect();
-    if mem != *ref_mem {
-        let var = ref_mem
-            .iter()
-            .zip(&mem)
-            .find(|(a, b)| a != b)
-            .map(|(a, _)| a.0.clone())
-            .unwrap_or_default();
-        return Err((
-            "divergence:memory".to_string(),
-            format!("{label}: final memory diverged (first at '{var}')"),
-        ));
-    }
-    Ok(())
-}
-
-fn panic_text(panic: Box<dyn std::any::Any + Send>) -> String {
+/// The message a caught panic carried.
+pub(crate) fn panic_text(panic: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = panic.downcast_ref::<String>() {

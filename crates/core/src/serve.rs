@@ -33,8 +33,12 @@
 //!
 //! Each TCP connection owns the sessions it opened. A broken client pipe
 //! (or clean disconnect) closes — and persists — that connection's
-//! sessions only; every other session keeps serving.
+//! sessions only. A request that panics gets an `internal_error` reply
+//! carrying the panic message, and its session is retired unpersisted
+//! (its lock is poisoned and its state may be half-written). Either way,
+//! every other session keeps serving.
 
+use crate::campaign::panic_text;
 use crate::session::{parse_xform, Ped};
 use crate::store::GraphStore;
 use ped_dep::PairCache;
@@ -45,6 +49,7 @@ use ped_runtime::{ExecConfig, ParallelMode};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -187,7 +192,11 @@ impl Daemon {
                     ),
                     Some(verb) => {
                         let verb = verb.to_string();
-                        let r = self.dispatch(owner, &verb, &v);
+                        let r = catch_unwind(AssertUnwindSafe(|| self.dispatch(owner, &verb, &v)))
+                            .unwrap_or_else(|panic| {
+                                self.retire(&v);
+                                Err(ReqError::new("internal_error", panic_text(panic)))
+                            });
                         (id, verb, r)
                     }
                 }
@@ -400,6 +409,15 @@ impl Daemon {
         };
         let mut ped = ped.lock().expect("session poisoned");
         f(&mut ped)
+    }
+
+    /// Drop a panicked request's session from the registry without
+    /// persisting it.
+    fn retire(&self, v: &Json) {
+        let Some(session) = v.get("session").and_then(Json::as_u64) else { return };
+        if self.sessions.lock().expect("session registry poisoned").remove(&session).is_some() {
+            self.stats.sessions_closed.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     fn persist_slot(&self, slot: &SessionSlot) -> usize {
@@ -649,6 +667,35 @@ mod tests {
         let ok = reply(format!("{{\"id\":3,\"verb\":\"analyze\",\"session\":{s}}}"));
         assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));
+    }
+
+    /// A scalar bound to an array formal.
+    const SCALAR_TO_ARRAY_FORMAL: &str = "program t\nx = 1.0\ncall f(x)\nend\n\
+                                          subroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
+
+    #[test]
+    fn panicking_request_retires_its_session_and_the_daemon_keeps_serving() {
+        let d = Daemon::new(None);
+        let good = open(&d, STDIO_OWNER);
+        let bad = open_source(&d, STDIO_OWNER, SCALAR_TO_ARRAY_FORMAL);
+        let reply = |line: String| json::parse(&d.handle_line(STDIO_OWNER, &line).text).unwrap();
+        let code = |v: &Json| {
+            v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str).map(str::to_string)
+        };
+        let panicked = reply(format!("{{\"id\":3,\"verb\":\"check\",\"session\":{bad}}}"));
+        assert_eq!(panicked.get("ok").and_then(Json::as_bool), Some(false), "{panicked:?}");
+        assert_eq!(code(&panicked).as_deref(), Some("internal_error"));
+        let message = panicked.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+        assert!(message.is_some_and(|m| !m.is_empty()), "{panicked:?}");
+        // The good session keeps answering; the bad one is gone.
+        let ok = reply(format!("{{\"id\":4,\"verb\":\"analyze\",\"session\":{good}}}"));
+        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok:?}");
+        assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));
+        let gone = reply(format!("{{\"id\":5,\"verb\":\"analyze\",\"session\":{bad}}}"));
+        assert_eq!(code(&gone).as_deref(), Some("no_such_session"));
+        assert_eq!(d.session_count(), 1);
+        let bye = reply("{\"id\":6,\"verb\":\"shutdown\"}".to_string());
+        assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true), "{bye:?}");
     }
 
     #[test]

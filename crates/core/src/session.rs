@@ -151,7 +151,6 @@ const MAX_RETIRED: usize = 512;
 pub struct Ped {
     program: Program,
     flags: IpFlags,
-    include_input_deps: bool,
     ip: Option<IpAnalysis>,
     /// Visible fingerprints of `ip` over the current program (empty iff
     /// `ip` is `None`); kept in lockstep so edit paths and resurrection
@@ -258,7 +257,6 @@ impl Ped {
         Ped {
             program,
             flags: IpFlags::all(),
-            include_input_deps: false,
             ip: None,
             vis_fps: Vec::new(),
             graphs: BTreeMap::new(),
@@ -384,12 +382,6 @@ impl Ped {
         self.invalidate_all();
     }
 
-    /// Include read-read (input) dependences in graphs.
-    pub fn set_include_input(&mut self, yes: bool) {
-        self.include_input_deps = yes;
-        self.invalidate_all();
-    }
-
     /// Current source text (regenerated from the AST, as Ped did).
     pub fn source(&self) -> String {
         ped_fortran::print_program(&self.program)
@@ -489,7 +481,6 @@ impl Ped {
                     self.ip.as_ref().expect("set above"),
                     u,
                     self.flags,
-                    self.include_input_deps,
                     &self.assertions,
                 )
             });
@@ -566,7 +557,6 @@ impl Ped {
                 ip,
                 unit_idx,
                 self.flags,
-                self.include_input_deps,
                 &self.assertions,
             );
             *fps.get(&header).expect("is_loop checked above")
@@ -592,7 +582,7 @@ impl Ped {
             unit_idx,
             header,
             self.flags,
-            self.include_input_deps,
+            false,
             &self.assertions,
             Some(self.pair_cache.as_ref()),
             self.obs_ref(),
@@ -645,7 +635,6 @@ impl Ped {
                         ip,
                         u,
                         self.flags,
-                        self.include_input_deps,
                         &self.assertions,
                     ),
                 );
@@ -683,7 +672,6 @@ impl Ped {
             let program = &self.program;
             let ip = self.ip.as_ref().expect("built above");
             let flags = self.flags;
-            let include_input = self.include_input_deps;
             let assertions = &self.assertions[..];
             let cache = self.pair_cache.as_ref();
             let obs = &*self.obs;
@@ -705,7 +693,7 @@ impl Ped {
                                     u,
                                     h,
                                     flags,
-                                    include_input,
+                                    false,
                                     assertions,
                                     Some(cache),
                                     Some(obs),
@@ -815,7 +803,6 @@ impl Ped {
                     ip,
                     u,
                     self.flags,
-                    self.include_input_deps,
                     &self.assertions,
                 )
             };
@@ -932,16 +919,6 @@ impl Ped {
         }
         self.assertions.push(a);
         Ok(rejected)
-    }
-
-    /// Live-dependence predicate for safety decisions: everything except
-    /// user-rejected dependences.
-    pub fn live_filter(&self, unit_idx: usize, graph: &DepGraph) -> Vec<bool> {
-        graph
-            .deps
-            .iter()
-            .map(|d| self.status(unit_idx, d) != DepStatus::Rejected)
-            .collect()
     }
 
     /// Can the loop be parallelized given current marks?
@@ -1356,7 +1333,6 @@ fn unit_loop_fingerprints(
     ip: &IpAnalysis,
     unit_idx: usize,
     flags: IpFlags,
-    include_input: bool,
     assertions: &[Assertion],
 ) -> HashMap<StmtId, (u64, u64)> {
     use std::collections::hash_map::DefaultHasher;
@@ -1393,7 +1369,7 @@ fn unit_loop_fingerprints(
     for node in loop_tree(unit) {
         let header = node.stmt;
         let mut h = DefaultHasher::new();
-        [flags.modref, flags.kill, flags.sections, flags.constants, include_input].hash(&mut h);
+        [flags.modref, flags.kill, flags.sections, flags.constants].hash(&mut h);
         asserted.hash(&mut h);
         commons.hash(&mut h);
         let mut facts: Vec<(SymId, String)> =

@@ -8,7 +8,6 @@
 
 use ped_analysis::symbolic::{to_affine, Affine};
 use ped_fortran::{Expr, ProgramUnit, StmtId, SymId};
-use std::collections::HashMap;
 
 /// One loop of the shared nest (outermost first).
 #[derive(Debug, Clone)]
@@ -89,11 +88,6 @@ impl<'a> NestCtx<'a> {
         self.loops.len()
     }
 
-    /// Position of a loop variable in the nest.
-    pub fn level_of(&self, var: SymId) -> Option<usize> {
-        self.loops.iter().position(|l| l.var == var)
-    }
-
     /// Index variables of the nest.
     pub fn index_vars(&self) -> Vec<SymId> {
         self.loops.iter().map(|l| l.var).collect()
@@ -103,11 +97,6 @@ impl<'a> NestCtx<'a> {
     pub fn affine(&self, e: &Expr) -> Option<Affine> {
         to_affine(e, &*self.resolve)
     }
-}
-
-/// Convenience resolver over a fixed map (used in tests and by assertions).
-pub fn map_resolver(map: HashMap<SymId, i64>) -> Box<dyn Fn(SymId) -> Option<i64>> {
-    Box::new(move |s| map.get(&s).copied())
 }
 
 #[cfg(test)]

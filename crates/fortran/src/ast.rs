@@ -45,12 +45,6 @@ impl Program {
         self.units.iter().find(|u| u.name == key)
     }
 
-    /// Find a unit mutably by name.
-    pub fn unit_mut(&mut self, name: &str) -> Option<&mut ProgramUnit> {
-        let key = name.to_ascii_lowercase();
-        self.units.iter_mut().find(|u| u.name == key)
-    }
-
     /// Index of a unit by name.
     pub fn unit_index(&self, name: &str) -> Option<usize> {
         let key = name.to_ascii_lowercase();
@@ -393,11 +387,6 @@ impl BinOp {
     /// True for `<`, `<=`, `>`, `>=`, `==`, `/=`.
     pub fn is_relational(self) -> bool {
         matches!(self, BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne)
-    }
-
-    /// True for `+ - * / **`.
-    pub fn is_arith(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Pow)
     }
 }
 

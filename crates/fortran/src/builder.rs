@@ -142,11 +142,6 @@ impl UnitBuilder {
         ids
     }
 
-    /// Access to the unit under construction (e.g. to adjust symbols).
-    pub fn unit_mut(&mut self) -> &mut ProgramUnit {
-        &mut self.unit
-    }
-
     // ------------------------------------------------------- symbols ----
 
     /// Declare an integer scalar.
@@ -182,13 +177,6 @@ impl UnitBuilder {
         let s = self.scalar(name, ty);
         self.unit.symbols.sym_mut(s).dims =
             dims.iter().map(|&d| ArrayDim::upto(Expr::Int(d))).collect();
-        s
-    }
-
-    /// Declare an array with symbolic extents.
-    pub fn array_dims(&mut self, name: &str, ty: Ty, dims: Vec<ArrayDim>) -> SymId {
-        let s = self.scalar(name, ty);
-        self.unit.symbols.sym_mut(s).dims = dims;
         s
     }
 
@@ -260,14 +248,6 @@ impl UnitBuilder {
         }))
     }
 
-    /// `IF (cond) THEN … ENDIF`.
-    pub fn if_then(&mut self, cond: Expr, f: impl FnOnce(&mut Self)) -> StmtId {
-        self.blocks.push(Vec::new());
-        f(self);
-        let block = self.blocks.pop().expect("pushed above");
-        self.push(StmtKind::If { arms: vec![(cond, block)], else_block: None })
-    }
-
     /// `IF (cond) THEN … ELSE … ENDIF`.
     pub fn if_else(
         &mut self,
@@ -297,11 +277,6 @@ impl UnitBuilder {
     /// `RETURN`.
     pub fn ret(&mut self) -> StmtId {
         self.push(StmtKind::Return)
-    }
-
-    /// `CONTINUE`.
-    pub fn cont(&mut self) -> StmtId {
-        self.push(StmtKind::Continue)
     }
 
     /// Finish, returning the completed unit.

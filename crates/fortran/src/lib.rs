@@ -51,9 +51,3 @@ pub use parser::parse_program;
 pub use printer::print_program;
 pub use span::{LineNo, Span};
 pub use symbols::{SymId, Symbol, SymbolTable, Ty};
-
-/// Parse a single source file into a [`Program`] and immediately pretty-print
-/// it back; convenience used in tests to assert round-trip stability.
-pub fn reprint(src: &str) -> Result<String> {
-    Ok(print_program(&parse_program(src)?))
-}

@@ -234,12 +234,6 @@ pub fn print_expr(u: &ProgramUnit, e: &Expr) -> String {
     print_prec(&u.symbols, e, 0)
 }
 
-/// Print an expression given only a symbol table (used by analyses that hold
-/// a table but not the unit).
-pub fn print_expr_with(symbols: &SymbolTable, e: &Expr) -> String {
-    print_prec(symbols, e, 0)
-}
-
 fn prec(e: &Expr) -> u8 {
     match e {
         Expr::Bin { op, .. } => match op {

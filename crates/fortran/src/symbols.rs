@@ -37,11 +37,6 @@ impl Ty {
             _ => Ty::Real,
         }
     }
-
-    /// True for `REAL` and `DOUBLE PRECISION`.
-    pub fn is_float(self) -> bool {
-        matches!(self, Ty::Real | Ty::Double)
-    }
 }
 
 impl std::fmt::Display for Ty {

@@ -165,43 +165,6 @@ pub fn for_each_root_expr_of_stmt_mut(kind: &mut StmtKind, f: &mut impl FnMut(&m
     }
 }
 
-/// Visit every expression of one statement mutably.
-pub fn for_each_expr_of_stmt_mut(kind: &mut StmtKind, f: &mut impl FnMut(&mut Expr)) {
-    match kind {
-        StmtKind::Assign { lhs, rhs } => {
-            if let LValue::ArrayElem(_, subs) = lhs {
-                for s in subs {
-                    walk_expr_mut(s, f);
-                }
-            }
-            walk_expr_mut(rhs, f);
-        }
-        StmtKind::If { arms, .. } => {
-            for (cond, _) in arms {
-                walk_expr_mut(cond, f);
-            }
-        }
-        StmtKind::Do(d) => {
-            walk_expr_mut(&mut d.lo, f);
-            walk_expr_mut(&mut d.hi, f);
-            if let Some(s) = &mut d.step {
-                walk_expr_mut(s, f);
-            }
-        }
-        StmtKind::Call { args, .. } => {
-            for a in args {
-                walk_expr_mut(a, f);
-            }
-        }
-        StmtKind::Print { items } => {
-            for e in items {
-                walk_expr_mut(e, f);
-            }
-        }
-        StmtKind::Return | StmtKind::Stop | StmtKind::Continue | StmtKind::Removed => {}
-    }
-}
-
 // ------------------------------------------------------------ accesses ----
 
 /// How a statement touches a variable.

@@ -211,9 +211,9 @@ block! {
         /// Winning plans rolled back after failing execution verification.
         pub plans_rejected: u64,
         /// Worst predicted-vs-measured speedup ratio before calibration
-        /// (1.0 when nothing was measured).
+        /// (0 when nothing was measured: only the E18 bench measures).
         pub calibration_before: f64,
-        /// Worst ratio after the learned correction (1.0 when nothing was
+        /// Worst ratio after the learned correction (0 when nothing was
         /// measured; never exceeds `calibration_before`).
         pub calibration_after: f64,
     }

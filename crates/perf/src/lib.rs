@@ -15,8 +15,8 @@ pub use calibrate::{CalibrationState, Sample};
 
 use ped_analysis::constants::{eval, Facts};
 use ped_fortran::symbols::Const;
-use ped_fortran::visit::{for_each_stmt, loop_tree};
-use ped_fortran::{Expr, Program, ProgramUnit, StmtId, StmtKind, SymId};
+use ped_fortran::visit::loop_tree;
+use ped_fortran::{Expr, Program, StmtId, StmtKind, SymId};
 use ped_runtime::Machine;
 use std::collections::HashMap;
 
@@ -287,13 +287,6 @@ pub fn ranking_agreement(
     }
     let hits = top_est.iter().filter(|e| top_meas.contains(e)).count();
     hits as f64 / top_est.len().min(k) as f64
-}
-
-/// Count statements under a unit (utility for reports).
-pub fn stmt_count(unit: &ProgramUnit) -> usize {
-    let mut n = 0;
-    for_each_stmt(unit, &unit.body, &mut |_| n += 1);
-    n
 }
 
 #[cfg(test)]

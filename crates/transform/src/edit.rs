@@ -6,7 +6,7 @@
 //! and fresh symbols never collide with source names.
 
 use ped_fortran::visit::for_each_root_expr_of_stmt_mut;
-use ped_fortran::{Block, DoLoop, Expr, LValue, ProgramUnit, StmtId, StmtKind, SymId};
+use ped_fortran::{Block, DoLoop, Expr, ProgramUnit, StmtId, StmtKind, SymId};
 
 /// Locate the block containing `target` and replace that single statement
 /// with `replacement` (splice). Returns false if the statement is not found.
@@ -175,14 +175,6 @@ pub fn fresh_scalar(unit: &mut ProgramUnit, base: &str, ty: ped_fortran::Ty) -> 
         }
     }
     unreachable!("10k fresh-name collisions");
-}
-
-/// The lhs symbol a statement assigns, if it is a scalar assignment.
-pub fn assigned_scalar(unit: &ProgramUnit, stmt: StmtId) -> Option<SymId> {
-    match &unit.stmt(stmt).kind {
-        StmtKind::Assign { lhs: LValue::Var(s), .. } => Some(*s),
-        _ => None,
-    }
 }
 
 /// True when the loop body is exactly one nested DO (a perfect 2-nest).
