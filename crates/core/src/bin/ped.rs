@@ -469,10 +469,11 @@ fn batch_run_threads(ped: &Ped, defaults: RunDefaults, quiet: bool) {
             writeln!(
                 err,
                 "ran with {n} thread(s), {} schedule: {} statement(s), \
-                 {} parallel loop(s), {} chunk(s) ({} stolen), imbalance {:.2}",
+                 {} parallel loop(s) ({} inline), {} chunk(s) ({} stolen), imbalance {:.2}",
                 defaults.schedule,
                 r.steps,
                 r.sched.parallel_loops,
+                r.sched.inline_loops,
                 r.sched.chunks_executed,
                 r.sched.chunks_stolen,
                 r.sched.imbalance_ratio()
@@ -787,10 +788,12 @@ quit"
                 println!("  {l}");
             }
             println!("(vtime {:.0} ops, {} statements)", r.vtime, r.steps);
-            if r.sched.parallel_loops > 0 {
+            if r.sched.parallel_loops > 0 || r.sched.inline_loops > 0 {
                 println!(
-                    "(scheduler: {} parallel loop(s), {} chunk(s), {} stolen, imbalance {:.2})",
+                    "(scheduler: {} parallel loop(s) ({} inline), {} chunk(s), {} stolen, \
+                     imbalance {:.2})",
                     r.sched.parallel_loops,
+                    r.sched.inline_loops,
                     r.sched.chunks_executed,
                     r.sched.chunks_stolen,
                     r.sched.imbalance_ratio()

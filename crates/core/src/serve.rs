@@ -673,29 +673,58 @@ mod tests {
     const SCALAR_TO_ARRAY_FORMAL: &str = "program t\nx = 1.0\ncall f(x)\nend\n\
                                           subroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
 
+    /// The same bad call inside a `PARALLEL DO`. Checked with two threads,
+    /// it panics in a pool worker: a CALL body has no static step bound,
+    /// so the loop does not run inline.
+    const SCALAR_TO_ARRAY_FORMAL_IN_PARALLEL_DO: &str =
+        "program t\nx = 1.0\nparallel do i = 1, 4\ncall f(x)\nenddo\nend\n\
+         subroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
+
     #[test]
     fn panicking_request_retires_its_session_and_the_daemon_keeps_serving() {
-        let d = Daemon::new(None);
-        let good = open(&d, STDIO_OWNER);
-        let bad = open_source(&d, STDIO_OWNER, SCALAR_TO_ARRAY_FORMAL);
-        let reply = |line: String| json::parse(&d.handle_line(STDIO_OWNER, &line).text).unwrap();
-        let code = |v: &Json| {
-            v.get("error").and_then(|e| e.get("code")).and_then(Json::as_str).map(str::to_string)
-        };
-        let panicked = reply(format!("{{\"id\":3,\"verb\":\"check\",\"session\":{bad}}}"));
-        assert_eq!(panicked.get("ok").and_then(Json::as_bool), Some(false), "{panicked:?}");
-        assert_eq!(code(&panicked).as_deref(), Some("internal_error"));
-        let message = panicked.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
-        assert!(message.is_some_and(|m| !m.is_empty()), "{panicked:?}");
-        // The good session keeps answering; the bad one is gone.
-        let ok = reply(format!("{{\"id\":4,\"verb\":\"analyze\",\"session\":{good}}}"));
-        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok:?}");
-        assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));
-        let gone = reply(format!("{{\"id\":5,\"verb\":\"analyze\",\"session\":{bad}}}"));
-        assert_eq!(code(&gone).as_deref(), Some("no_such_session"));
-        assert_eq!(d.session_count(), 1);
-        let bye = reply("{\"id\":6,\"verb\":\"shutdown\"}".to_string());
-        assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true), "{bye:?}");
+        for (src, threads) in [
+            (SCALAR_TO_ARRAY_FORMAL, ""),
+            (SCALAR_TO_ARRAY_FORMAL_IN_PARALLEL_DO, ",\"threads\":2"),
+        ] {
+            let d = Arc::new(Daemon::new(None));
+            let good = open(&d, STDIO_OWNER);
+            let bad = open_source(&d, STDIO_OWNER, src);
+            let reply =
+                |line: String| json::parse(&d.handle_line(STDIO_OWNER, &line).text).unwrap();
+            let code = |v: &Json| {
+                v.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+            };
+            // The check runs on its own thread under a deadline, so a
+            // request that wedges fails the test instead of hanging it.
+            let check = format!("{{\"id\":3,\"verb\":\"check\",\"session\":{bad}{threads}}}");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let daemon = Arc::clone(&d);
+            let request = std::thread::spawn(move || {
+                tx.send(daemon.handle_line(STDIO_OWNER, &check).text).unwrap()
+            });
+            let text = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("check{threads}: no reply within 60 s"));
+            request.join().unwrap();
+            let panicked = json::parse(&text).unwrap();
+            assert_eq!(panicked.get("ok").and_then(Json::as_bool), Some(false), "{panicked:?}");
+            assert_eq!(code(&panicked).as_deref(), Some("internal_error"));
+            let message =
+                panicked.get("error").and_then(|e| e.get("message")).and_then(Json::as_str);
+            assert!(message.is_some_and(|m| !m.is_empty()), "{panicked:?}");
+            // The good session keeps answering; the bad one is gone.
+            let ok = reply(format!("{{\"id\":4,\"verb\":\"analyze\",\"session\":{good}}}"));
+            assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true), "{ok:?}");
+            assert_eq!(ok.get("loops").and_then(Json::as_u64), Some(1));
+            let gone = reply(format!("{{\"id\":5,\"verb\":\"analyze\",\"session\":{bad}}}"));
+            assert_eq!(code(&gone).as_deref(), Some("no_such_session"));
+            assert_eq!(d.session_count(), 1);
+            let bye = reply("{\"id\":6,\"verb\":\"shutdown\"}".to_string());
+            assert_eq!(bye.get("ok").and_then(Json::as_bool), Some(true), "{bye:?}");
+        }
     }
 
     #[test]

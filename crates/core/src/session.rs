@@ -1219,6 +1219,7 @@ impl Ped {
             }
             self.obs.record_sched(&SchedulerReport {
                 parallel_loops: result.sched.parallel_loops,
+                inline_loops: result.sched.inline_loops,
                 chunks_executed: result.sched.chunks_executed,
                 chunks_stolen: result.sched.chunks_stolen,
                 worker_iterations: result.sched.worker_iterations.clone(),

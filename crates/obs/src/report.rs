@@ -321,6 +321,9 @@ pub struct DepTestStat {
 pub struct SchedulerReport {
     /// `PARALLEL DO` invocations dispatched to the worker pool.
     pub parallel_loops: u64,
+    /// `PARALLEL DO` invocations too small to pay for the pool, run as one
+    /// chunk on the calling thread.
+    pub inline_loops: u64,
     /// Chunks executed across all loops and workers.
     pub chunks_executed: u64,
     /// Chunks served by work stealing.
@@ -347,6 +350,7 @@ impl SchedulerReport {
     /// id.
     pub(crate) fn add(&mut self, run: &SchedulerReport) {
         self.parallel_loops += run.parallel_loops;
+        self.inline_loops += run.inline_loops;
         self.chunks_executed += run.chunks_executed;
         self.chunks_stolen += run.chunks_stolen;
         if self.worker_iterations.len() < run.worker_iterations.len() {
@@ -501,6 +505,7 @@ impl ProfileReport {
                 "scheduler",
                 Json::obj(vec![
                     ("parallel_loops", sched.parallel_loops.to_json()),
+                    ("inline_loops", sched.inline_loops.to_json()),
                     ("chunks_executed", sched.chunks_executed.to_json()),
                     ("chunks_stolen", sched.chunks_stolen.to_json()),
                     (
@@ -605,6 +610,7 @@ impl ProfileReport {
                 let s = block("scheduler")?;
                 SchedulerReport {
                     parallel_loops: field(s, "parallel_loops")?,
+                    inline_loops: field(s, "inline_loops")?,
                     chunks_executed: field(s, "chunks_executed")?,
                     chunks_stolen: field(s, "chunks_stolen")?,
                     worker_iterations: rows(s, "worker_iterations", |w| {
@@ -694,11 +700,12 @@ impl ProfileReport {
             ));
         }
         let sched = &self.scheduler;
-        if *sched != SchedulerReport::default() {
+        if sched.parallel_loops > 0 || sched.inline_loops > 0 {
             out.push_str(&format!(
-                "scheduler: {} parallel loops, {} chunks ({} stolen), \
+                "scheduler: {} parallel loops ({} inline), {} chunks ({} stolen), \
                  imbalance {:.2}\n",
                 sched.parallel_loops,
+                sched.inline_loops,
                 sched.chunks_executed,
                 sched.chunks_stolen,
                 sched.imbalance_ratio()
@@ -846,6 +853,7 @@ mod tests {
         }
         obs.record_sched(&SchedulerReport {
             parallel_loops: 3,
+            inline_loops: 2,
             chunks_executed: 24,
             chunks_stolen: 5,
             worker_iterations: vec![40, 60, 50, 50],
@@ -970,6 +978,15 @@ mod tests {
     #[test]
     fn v3_report_requires_scheduler_section() {
         assert_requires("scheduler");
+    }
+
+    #[test]
+    fn scheduler_requires_inline_loops() {
+        let text = sample_report().to_json().to_string_compact();
+        let without = text.replacen("\"inline_loops\":2,", "", 1);
+        assert_ne!(without, text);
+        let err = ProfileReport::from_json_str(&without).unwrap_err();
+        assert!(err.contains("'inline_loops'"), "{err}");
     }
 
     #[test]

@@ -2213,7 +2213,7 @@ impl<'p> Interp<'p> {
             IterSpace::new(regs[cl.lo as usize].as_int(), regs[cl.hi as usize].as_int(), step)?;
         self.scoped_do(unit_idx, cl.sid, d, frame, state, |state| {
             let flow = if self.forks(d, state) {
-                self.run_parallel(unit_idx, d, space, frame, state, Some(i))?
+                self.run_parallel(unit_idx, cl.sid, space, frame, state, Some(i))?
             } else {
                 let var_cell = self.cell(&self.program.units[unit_idx], frame, d.var)?;
                 let body = LoopBody::Code(&cl.body, cl.fast.as_ref());

@@ -3,7 +3,10 @@
 use crate::bytecode::LoopBody;
 use crate::machine::Machine;
 use crate::memory::{Cell, Frame};
-use crate::pool::{plan_chunks, Chunk, ChunkQueues, Pool, SchedStats, Schedule, StepBudget};
+use crate::pool::{
+    plan_chunks, Chunk, ChunkQueues, Pool, SchedStats, Schedule, ShutdownOnDrop, StepBudget,
+    INLINE_STEPS,
+};
 use crate::shadow::{ShadowChunk, ShadowLog, ShadowRec};
 use crate::value::Value;
 use ped_fortran::ast::Intrinsic;
@@ -11,7 +14,9 @@ use ped_fortran::symbols::Const;
 use ped_fortran::{
     BinOp, Expr, LValue, Program, ProgramUnit, RedOp, StmtId, StmtKind, SymId, Ty, UnOp,
 };
+use std::any::Any;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -213,16 +218,19 @@ impl IterSpace {
 }
 
 /// One `PARALLEL DO` invocation packaged for the worker pool, or for the
-/// calling thread under `Simulate`. Fully owned payload (the loop is
-/// cloned; the frame's cells are `Arc`s), so a job outlives the submitting
-/// stack frame without lifetime juggling.
+/// calling thread (under `Simulate`, and under `Threads` when the loop
+/// runs inline). Fully owned payload (the loop is named by its statement
+/// and looked up in the program; the frame's cells are `Arc`s), so a job
+/// outlives the submitting stack frame without lifetime juggling.
 pub(crate) struct LoopJob {
     unit_idx: usize,
-    d: ped_fortran::DoLoop,
+    /// The `PARALLEL DO` statement (see [`Interp::parallel_loop`]).
+    sid: StmtId,
     space: IterSpace,
-    /// The submitting frame; workers overlay private slots on a clone.
-    base_frame: Frame,
-    info: ped_fortran::ParallelInfo,
+    /// The submitting frame, when the pool runs the job: each worker
+    /// overlays private slots on a clone. The calling thread clones its
+    /// own frame instead.
+    base_frame: Option<Frame>,
     budget: Arc<StepBudget>,
     queues: ChunkQueues,
     chunks_stolen: AtomicU64,
@@ -232,9 +240,13 @@ pub(crate) struct LoopJob {
     /// only runs a chunk more, and the merge still reports the first fault.
     first_fault: AtomicUsize,
     outs: Mutex<Vec<ChunkOut>>,
+    /// The first panic a pool worker caught in this job's chunks. The
+    /// submitter resumes it after the join, so it surfaces on the calling
+    /// thread exactly as a serial run's panic would.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Index into the unit's compiled-loop table when the bytecode engine
     /// submitted this job: workers execute the compiled body instead of
-    /// walking the cloned AST in `d`.
+    /// walking the loop's AST.
     cdo: Option<u32>,
 }
 
@@ -495,9 +507,10 @@ impl<'p> Interp<'p> {
                 let pool = &pool;
                 scope.spawn(move || self.worker_main(pool, w));
             }
-            let out = self.run_main(main_idx, Some(&pool), want_memory);
-            pool.shutdown();
-            out
+            // Shut down on every way out, unwinding included: the scope
+            // joins the workers, which only exit on shutdown.
+            let _shutdown = ShutdownOnDrop(&pool);
+            self.run_main(main_idx, Some(&pool), want_memory)
         })
     }
 
@@ -573,23 +586,43 @@ impl<'p> Interp<'p> {
         out
     }
 
-    /// Worker thread body: serve `PARALLEL DO` jobs until shutdown.
+    /// Worker thread body: serve `PARALLEL DO` jobs until shutdown. A
+    /// panic in a chunk is caught and parked in the job for the submitter
+    /// to resume, and the job is still finished: the submitter never waits
+    /// on a dead worker, and the worker stays alive for later jobs.
     fn worker_main(&self, pool: &Pool<LoopJob>, worker: usize) {
         let mut generation = 0u64;
         while let Some(job) = pool.next_job(&mut generation) {
-            self.run_job_chunks(&job, worker);
+            let base = job.base_frame.as_ref().expect("a pool job carries its frame");
+            let run = catch_unwind(AssertUnwindSafe(|| self.run_job_chunks(&job, worker, base)));
+            if let Err(p) = run {
+                job.panic.lock().expect("no panic while the slot is held").get_or_insert(p);
+            }
             pool.finish_job();
         }
     }
 
-    /// One worker's share of a job: bind per-worker private slots once,
-    /// then drain chunks (own deque first, stealing when it runs dry).
-    fn run_job_chunks(&self, job: &LoopJob, worker: usize) {
+    /// The `PARALLEL DO` at `sid` and its clauses, borrowed from the
+    /// program.
+    fn parallel_loop(
+        &self,
+        unit_idx: usize,
+        sid: StmtId,
+    ) -> (&'p ped_fortran::DoLoop, &'p ped_fortran::ParallelInfo) {
+        let d = self.program.units[unit_idx].loop_of(sid);
+        (d, d.parallel.as_ref().expect("only a PARALLEL DO forks"))
+    }
+
+    /// One worker's share of a job: bind per-worker private slots once on
+    /// a clone of the submitting frame `base`, then drain chunks (own
+    /// deque first, stealing when it runs dry).
+    fn run_job_chunks(&self, job: &LoopJob, worker: usize, base: &Frame) {
         let unit = &self.program.units[job.unit_idx];
-        let mut fr = job.base_frame.clone();
+        let (d, info) = self.parallel_loop(job.unit_idx, job.sid);
+        let mut fr = base.clone();
         let var_cell = Cell::scalar(Ty::Integer);
-        fr.bind(job.d.var, var_cell.clone());
-        for &s in job.info.private.iter().chain(job.info.lastprivate.iter()) {
+        fr.bind(d.var, var_cell.clone());
+        for &s in info.private.iter().chain(info.lastprivate.iter()) {
             // Private arrays (section-proven privatization) get a fresh
             // zeroed copy shaped like the shared cell; scalars a fresh slot.
             match fr.get(s).filter(|c| c.is_array()) {
@@ -601,15 +634,14 @@ impl<'p> Interp<'p> {
                 None => fr.bind(s, Cell::scalar(unit.symbols.sym(s).ty)),
             }
         }
-        let mut red_cells = Vec::with_capacity(job.info.reductions.len());
-        for &(op, s) in &job.info.reductions {
+        let mut red_cells = Vec::with_capacity(info.reductions.len());
+        for &(op, s) in &info.reductions {
             let ty = unit.symbols.sym(s).ty;
             let c = Cell::scalar(ty);
             fr.bind(s, c.clone());
             red_cells.push((op, ty, c));
         }
-        let last_cells: Vec<(SymId, Arc<Cell>)> = job
-            .info
+        let last_cells: Vec<(SymId, Arc<Cell>)> = info
             .lastprivate
             .iter()
             .map(|&s| (s, fr.get(s).expect("bound above").clone()))
@@ -640,8 +672,12 @@ impl<'p> Interp<'p> {
         red_cells: &[(RedOp, Ty, Arc<Cell>)],
         last_cells: &[(SymId, Arc<Cell>)],
     ) -> ChunkOut {
+        let (d, info) = self.parallel_loop(job.unit_idx, job.sid);
         let mut st = ExecState::new(job.budget.clone());
         st.in_parallel = true;
+        // Claim the block the first tick would, so that a fast body runs
+        // its first iteration in fast form too.
+        st.granted = job.budget.acquire(crate::pool::BUDGET_BLOCK);
         if self.config.shadow {
             // The chunk's event tap stands in for the parallel loop's
             // scope (which lives on the submitting thread); worker-local
@@ -649,7 +685,7 @@ impl<'p> Interp<'p> {
             // scope's masking of the same names.
             let mut excluded = std::collections::HashSet::new();
             excluded.insert(Arc::as_ptr(var_cell) as usize);
-            for &s in job.info.private.iter().chain(job.info.lastprivate.iter()) {
+            for &s in info.private.iter().chain(info.lastprivate.iter()) {
                 if let Some(c) = fr.get(s) {
                     excluded.insert(Arc::as_ptr(c) as usize);
                 }
@@ -682,9 +718,9 @@ impl<'p> Interp<'p> {
                 let regs = vec![Value::Int(0); cu.nregs()];
                 (LoopBody::Code(cu.loop_body(ci), cu.loop_fast(ci)), regs)
             }
-            _ => (LoopBody::Tree(&job.d.body), Vec::new()),
+            _ => (LoopBody::Tree(&d.body), Vec::new()),
         };
-        let var = (job.d.var, var_cell);
+        let var = (d.var, var_cell);
         let first = job.space.at(chunk.start as u64);
         let space = IterSpace { first, count: chunk.len as u64, ..job.space };
         let run =
@@ -883,7 +919,7 @@ impl<'p> Interp<'p> {
         frame: &Frame,
         state: &mut ExecState<'_>,
     ) -> Result<Flow, RtError> {
-        let d = self.program.units[unit_idx].loop_of(sid).clone();
+        let d = self.program.units[unit_idx].loop_of(sid);
         // The header is evaluated once at entry (F77 rules).
         let lo = self.eval(unit_idx, &d.lo, frame, state)?.as_int();
         let hi = self.eval(unit_idx, &d.hi, frame, state)?.as_int();
@@ -892,12 +928,12 @@ impl<'p> Interp<'p> {
             Some(e) => self.eval(unit_idx, e, frame, state)?.as_int(),
         };
         let space = IterSpace::new(lo, hi, step)?;
-        self.scoped_do(unit_idx, sid, &d, frame, state, |state| {
-            if self.forks(&d, state) {
-                Ok((self.run_parallel(unit_idx, &d, space, frame, state, None)?, space.count))
+        self.scoped_do(unit_idx, sid, d, frame, state, |state| {
+            if self.forks(d, state) {
+                Ok((self.run_parallel(unit_idx, sid, space, frame, state, None)?, space.count))
             } else {
                 let vals = iteration_values(lo, hi, step);
-                Ok((self.run_serial(unit_idx, &d, &vals, frame, state)?, vals.len() as u64))
+                Ok((self.run_serial(unit_idx, d, &vals, frame, state)?, vals.len() as u64))
             }
         })
     }
@@ -983,52 +1019,80 @@ impl<'p> Interp<'p> {
             }
     }
 
+    /// Does this `Threads` execution of a `PARALLEL DO` with `trip`
+    /// iterations run on the calling thread instead of the pool? Yes when
+    /// its work is statically bounded by [`INLINE_STEPS`]. The bound is the
+    /// trip times the exact step count of one iteration, which only a
+    /// straight-line body lowered to fast form has. So the decision depends
+    /// on the program and the trip alone, never on timing: scheduler
+    /// counters repeat run to run, and a shadow `check` decides as a plain
+    /// run does. The tree engine lowers nothing, so its loops have no
+    /// bound and always go to the pool; its `Threads` runs are thereby the
+    /// pool-path oracle for the bytecode engine's inline ones.
+    fn runs_inline(&self, unit_idx: usize, cdo: Option<u32>, trip: u64) -> bool {
+        let fast =
+            cdo.zip(self.compiled.as_ref()).and_then(|(ci, cp)| cp.units[unit_idx].loop_fast(ci));
+        fast.is_some_and(|f| f.steps.saturating_mul(trip) <= INLINE_STEPS)
+    }
+
     /// Run a `PARALLEL DO` as chunks and merge their results
     /// deterministically: printed lines in iteration order, reductions
     /// recombined in serial fold order, lastprivate from the chunk holding
     /// the final iteration. Output is therefore bit-identical to serial
-    /// execution. Under `Threads` the pool runs the schedule's chunks;
-    /// under `Simulate` this thread runs the machine's static blocks in
-    /// iteration order and charges them through [`Machine::block_charge`].
+    /// execution. Under `Threads` the pool runs the schedule's chunks,
+    /// unless the loop [runs inline](Self::runs_inline): then this thread
+    /// runs it as one chunk. Under `Simulate` this thread runs the
+    /// machine's static blocks in iteration order and charges them through
+    /// [`Machine::block_charge`].
     pub(crate) fn run_parallel(
         &self,
         unit_idx: usize,
-        d: &ped_fortran::DoLoop,
+        sid: StmtId,
         space: IterSpace,
         frame: &Frame,
         state: &mut ExecState<'_>,
         cdo: Option<u32>,
     ) -> Result<Flow, RtError> {
         let unit = &self.program.units[unit_idx];
+        let (d, info) = self.parallel_loop(unit_idx, sid);
         let n = space.count as usize;
-        let (chunks, workers) = match (self.config.mode, state.pool) {
-            (ParallelMode::Simulate(m), _) => (plan_chunks(Schedule::Static, n, m.procs), 1),
+        let (chunks, pool) = match (self.config.mode, state.pool) {
+            (ParallelMode::Simulate(m), _) => (plan_chunks(Schedule::Static, n, m.procs), None),
+            (_, Some(_)) if n > 0 && self.runs_inline(unit_idx, cdo, space.count) => {
+                (plan_chunks(Schedule::Static, n, 1), None)
+            }
             (_, Some(pool)) if n > 0 => {
-                (plan_chunks(self.config.schedule, n, pool.workers()), pool.workers())
+                (plan_chunks(self.config.schedule, n, pool.workers()), Some(pool))
             }
             // An empty loop under Threads: nothing to dispatch or charge.
             // (`forks` keeps a Threads run without a pool off this path.)
             _ => return Ok(Flow::Normal),
         };
+        let workers = pool.map_or(1, Pool::workers);
         // The chunks draw on the whole remaining budget, so a budget abort
         // lands on the same step as in a serial run.
         state.release_grant();
         let job = Arc::new(LoopJob {
             unit_idx,
-            d: d.clone(),
+            sid,
             space,
-            base_frame: frame.clone(),
-            info: d.parallel.clone().unwrap_or_default(),
+            base_frame: pool.map(|_| frame.clone()),
             budget: state.budget.clone(),
             queues: ChunkQueues::seed(&chunks, workers),
             chunks_stolen: AtomicU64::new(0),
             first_fault: AtomicUsize::new(usize::MAX),
             outs: Mutex::new(Vec::with_capacity(chunks.len())),
+            panic: Mutex::new(None),
             cdo,
         });
-        match state.pool {
-            Some(pool) => pool.run_job(job.clone()),
-            None => self.run_job_chunks(&job, 0),
+        match pool {
+            Some(pool) => {
+                pool.run_job(job.clone());
+                if let Some(p) = job.panic.lock().expect("no panic while the slot is held").take() {
+                    resume_unwind(p);
+                }
+            }
+            None => self.run_job_chunks(&job, 0, frame),
         }
 
         let mut outs = std::mem::take(&mut *job.outs.lock().unwrap());
@@ -1042,19 +1106,27 @@ impl<'p> Interp<'p> {
         if let ParallelMode::Simulate(m) = self.config.mode {
             state.vtime += m.block_charge(outs.iter().map(|o| (o.vtime, o.len)));
         } else {
-            state.sched.parallel_loops += 1;
-            state.sched.chunks_executed += outs.len() as u64;
-            state.sched.chunks_stolen += job.chunks_stolen.load(Ordering::Relaxed);
-            if state.sched.worker_iterations.len() < workers {
-                state.sched.worker_iterations.resize(workers, 0);
-            }
-            // Parallel time charge: the busiest worker's total.
+            // Parallel time charge: the busiest worker's total (inline, the
+            // one chunk's).
             let mut worker_vtime = vec![0.0f64; workers];
             for o in &outs {
-                state.sched.worker_iterations[o.worker] += o.len as u64;
                 worker_vtime[o.worker] += o.vtime;
             }
             state.vtime += worker_vtime.iter().copied().fold(0.0, f64::max);
+            let sched = &mut state.sched;
+            if pool.is_none() {
+                sched.inline_loops += 1;
+            } else {
+                sched.parallel_loops += 1;
+                sched.chunks_executed += outs.len() as u64;
+                sched.chunks_stolen += job.chunks_stolen.load(Ordering::Relaxed);
+                if sched.worker_iterations.len() < workers {
+                    sched.worker_iterations.resize(workers, 0);
+                }
+                for o in &outs {
+                    sched.worker_iterations[o.worker] += o.len as u64;
+                }
+            }
         }
         for o in &outs {
             for (k, v) in &o.profile {
@@ -1087,7 +1159,7 @@ impl<'p> Interp<'p> {
         // Reductions: replay each iteration's logged accumulation operands
         // (or its fallback delta) in global iteration order — exactly the
         // serial fold, bit for bit.
-        for (ri, &(op, s)) in job.info.reductions.iter().enumerate() {
+        for (ri, &(op, s)) in info.reductions.iter().enumerate() {
             let cell = self.cell(unit, frame, s)?;
             let mut cur = cell.load_scalar();
             for o in &outs {
@@ -1974,26 +2046,102 @@ mod tests {
     fn threads_and_schedules_bit_identical_to_serial() {
         // Sum of squares of 0.1*i: the float fold is order-sensitive, so
         // string equality (full-precision Debug formatting) means the
-        // threaded combine reproduced the serial fold bit for bit.
-        let src = "program t\nreal a(777)\nparallel do i = 1, 777\na(i) = 0.1 * i\nenddo\n\
-                   s = 0.0\nparallel do i = 1, 777 reduction(+:s)\ns = s + a(i) * a(i)\nenddo\n\
-                   print *, s\nend\n";
-        let serial = run_source(src, ExecConfig::default()).unwrap();
-        for k in [1usize, 2, 3, 4, 8] {
-            for schedule in [Schedule::Static, Schedule::Dynamic(5), Schedule::Guided] {
-                let par = run_source(
-                    src,
-                    ExecConfig {
-                        mode: ParallelMode::Threads(k),
-                        schedule,
-                        ..ExecConfig::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(serial.printed, par.printed, "threads={k} schedule={schedule}");
-                assert_eq!(par.sched.parallel_loops, 2);
-                assert!(par.sched.chunks_executed > 0);
+        // threaded combine reproduced the serial fold bit for bit. Both
+        // loops take 2 steps an iteration: 7,777 trips go to the pool,
+        // 777 run inline as one chunk.
+        for (trip, pooled) in [(7777, true), (777, false)] {
+            let src = format!(
+                "program t\nreal a({trip})\nparallel do i = 1, {trip}\na(i) = 0.1 * i\nenddo\n\
+                 s = 0.0\nparallel do i = 1, {trip} reduction(+:s)\ns = s + a(i) * a(i)\n\
+                 enddo\nprint *, s\nend\n"
+            );
+            let serial = run_source(&src, ExecConfig::default()).unwrap();
+            for k in [1usize, 2, 3, 4, 8] {
+                for schedule in [Schedule::Static, Schedule::Dynamic(5), Schedule::Guided] {
+                    let par = run_source(
+                        &src,
+                        ExecConfig {
+                            mode: ParallelMode::Threads(k),
+                            schedule,
+                            ..ExecConfig::default()
+                        },
+                    )
+                    .unwrap();
+                    let sub = format!("trip={trip} threads={k} schedule={schedule}");
+                    assert_eq!(serial.printed, par.printed, "{sub}");
+                    if pooled {
+                        assert_eq!(par.sched.parallel_loops, 2, "{sub}");
+                        assert!(par.sched.chunks_executed > 0, "{sub}");
+                    } else {
+                        assert_eq!(par.sched.inline_loops, 2, "{sub}");
+                        assert_eq!(par.sched.parallel_loops, 0, "{sub}");
+                    }
+                }
             }
+        }
+    }
+
+    /// A `Threads` loop runs inline exactly when its static bound, trip
+    /// times per-iteration steps, is within `INLINE_STEPS`. A CALL body
+    /// has no bound, and the tree engine bounds nothing, so both go to
+    /// the pool. Output and memory are the serial run's in every case.
+    #[test]
+    fn inline_boundary_is_the_static_step_bound() {
+        let straight = |trip: u64| {
+            format!(
+                "program t\nreal a({trip})\nparallel do i = 1, {trip}\na(i) = 0.5 * i\nenddo\n\
+                 print *, a({trip})\nend\n"
+            )
+        };
+        let call = "program t\nreal a(8)\nparallel do i = 1, 8\ncall g(a, i)\nenddo\n\
+                    print *, a(8)\nend\nsubroutine g(x, k)\nreal x(8)\nx(k) = k * 0.5\nend\n"
+            .to_string();
+        // The body is one statement: 2 steps an iteration.
+        let edge = INLINE_STEPS / 2;
+        let threads = ExecConfig { mode: ParallelMode::Threads(2), ..ExecConfig::default() };
+        let tree = ExecConfig { engine: Engine::Tree, ..threads };
+        for (src, config, inline) in [
+            (straight(edge), threads, true),
+            (straight(edge + 1), threads, false),
+            (call, threads, false),
+            (straight(edge), tree, false),
+        ] {
+            let sub = format!("{:?} {}", config.engine, src.lines().nth(2).unwrap());
+            let (serial, serial_mem) = run_source_with_memory(&src, ExecConfig::default()).unwrap();
+            let (r, mem) = run_source_with_memory(&src, config).unwrap();
+            assert_eq!(r.printed, serial.printed, "{sub}");
+            assert_eq!(mem, serial_mem, "{sub}");
+            let expect = if inline { (1, 0) } else { (0, 1) };
+            assert_eq!((r.sched.inline_loops, r.sched.parallel_loops), expect, "{sub}");
+            assert_eq!(r.sched.chunks_executed > 0, !inline, "{sub}");
+        }
+    }
+
+    /// A panic in a pool worker ends the run on the calling thread, as a
+    /// serial run's panic would, instead of leaving it waiting on the
+    /// worker. The CALL body has no static bound, so the loop reaches the
+    /// pool.
+    #[test]
+    fn worker_panic_surfaces_on_the_calling_thread() {
+        let src = "program t\nx = 1.0\nparallel do i = 1, 4\ncall f(x)\nenddo\nend\n\
+                   subroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
+        for engine in [Engine::Bytecode, Engine::Tree] {
+            let config =
+                ExecConfig { mode: ParallelMode::Threads(2), engine, ..ExecConfig::default() };
+            let (tx, rx) = std::sync::mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let payload = catch_unwind(|| run_source(src, config)).err();
+                let text = payload.map(|p| match p.downcast::<String>() {
+                    Ok(s) => *s,
+                    Err(p) => p.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+                });
+                tx.send(text).unwrap();
+            });
+            let text = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{engine}: the run hung on a panicking worker"));
+            run.join().unwrap();
+            assert_eq!(text.as_deref(), Some("array access to scalar cell"), "{engine}");
         }
     }
 

@@ -11,12 +11,12 @@
 //! * [`ChunkQueues`] — one deque per worker with chunk-level work stealing
 //!   (owners pop from the front, thieves from the back);
 //! * [`Pool`] — a set of workers created once per run and reused by every
-//!   `PARALLEL DO`, so fork cost is a condvar wakeup rather than a
-//!   `thread::spawn` per loop;
+//!   `PARALLEL DO` large enough to pay for it (see [`INLINE_STEPS`]), so
+//!   fork cost is a condvar wakeup rather than a `thread::spawn` per loop;
 //! * [`StepBudget`] — one shared atomic statement budget, so the global
 //!   `max_steps` runaway guard holds across all workers combined;
-//! * [`SchedStats`] — chunk/steal/iteration counters surfaced through the
-//!   profile report's `scheduler` block.
+//! * [`SchedStats`] — pool and inline loop, chunk, steal and iteration
+//!   counters surfaced through the profile report's `scheduler` block.
 //!
 //! Everything here is hand-rolled on `std` primitives — no external
 //! crates — and deliberately simple: the unit of stealing is a chunk
@@ -156,11 +156,12 @@ impl ChunkQueues {
     /// and stealing only kicks in when loads diverge.
     pub fn seed(chunks: &[Chunk], workers: usize) -> ChunkQueues {
         let workers = workers.max(1);
-        let mut queues: Vec<VecDeque<Chunk>> = (0..workers).map(|_| VecDeque::new()).collect();
+        let mut queues: Vec<Mutex<VecDeque<Chunk>>> =
+            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
         for &c in chunks {
-            queues[c.index % workers].push_back(c);
+            queues[c.index % workers].get_mut().expect("a new mutex is not poisoned").push_back(c);
         }
-        ChunkQueues { queues: queues.into_iter().map(Mutex::new).collect() }
+        ChunkQueues { queues }
     }
 
     /// Next chunk for worker `w`: their own front, else steal from the
@@ -195,6 +196,17 @@ pub struct StepBudget {
 /// shared counter is touched ~once per thousand statements, small enough
 /// that a tight budget still aborts promptly.
 pub const BUDGET_BLOCK: u64 = 1024;
+
+/// The most statement steps a `PARALLEL DO` execution may hold and still
+/// run on the calling thread instead of the pool. The bound is the trip
+/// count times the lowered body's exact per-iteration step count, so only
+/// straight-line bytecode bodies have one (see `Interp::run_parallel`).
+/// Chosen from measurements on a 2-vCPU x86-64 host. Through the pool, a
+/// 64-trip straight-line loop run 30,000 times cost 25–29 µs per
+/// execution more than serially: that is the fork, join and merge. A
+/// serial fast-path step cost 11–14 ns. With two workers, the pool pays
+/// off above about 2 × dispatch / step ≈ 3.6k–5.3k steps.
+pub const INLINE_STEPS: u64 = 4096;
 
 impl StepBudget {
     /// A budget with `cap` total steps.
@@ -239,6 +251,9 @@ impl StepBudget {
 pub struct SchedStats {
     /// `PARALLEL DO` invocations dispatched to the pool.
     pub parallel_loops: u64,
+    /// `PARALLEL DO` invocations within [`INLINE_STEPS`], run as one chunk
+    /// on the calling thread.
+    pub inline_loops: u64,
     /// Chunks executed across all loops and workers.
     pub chunks_executed: u64,
     /// Chunks a worker stole from another worker's deque.
@@ -263,6 +278,7 @@ impl SchedStats {
     /// Fold another run's counters into this one.
     pub fn absorb(&mut self, other: &SchedStats) {
         self.parallel_loops += other.parallel_loops;
+        self.inline_loops += other.inline_loops;
         self.chunks_executed += other.chunks_executed;
         self.chunks_stolen += other.chunks_stolen;
         if self.worker_iterations.len() < other.worker_iterations.len() {
@@ -357,11 +373,24 @@ impl<J> Pool<J> {
         }
     }
 
-    /// Wake all workers and make them exit their job loop.
+    /// Wake all workers and make them exit their job loop. Never panics,
+    /// so [`ShutdownOnDrop`] may call it while a panic unwinds: raising
+    /// the flag leaves the state valid even if a holder of the lock
+    /// panicked.
     pub fn shutdown(&self) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         st.shutdown = true;
         self.work_cv.notify_all();
+    }
+}
+
+/// Shuts a pool down when dropped, so its workers exit however the
+/// submitter's scope ends, a panic unwinding out of it included.
+pub struct ShutdownOnDrop<'a, J>(pub &'a Pool<J>);
+
+impl<J> Drop for ShutdownOnDrop<'_, J> {
+    fn drop(&mut self) {
+        self.0.shutdown();
     }
 }
 

@@ -206,16 +206,21 @@ fn check_runs_fold_into_one_row_per_loop() {
     }
 }
 
-/// A threaded `check` dispatches its parallel loops to the pool like a
-/// threaded run, and the scheduler block counts them.
+/// A threaded `check` sends each parallel loop to the pool or runs it
+/// inline exactly as a threaded run does, and the scheduler block counts
+/// both. At n = 1,500 the stencil's init loop (3 steps an iteration) is
+/// above the inline bound and goes to the pool; its eight sweeps (2 steps
+/// an iteration) run inline.
 #[test]
 fn threaded_check_counts_in_the_scheduler_block() {
-    let mut ped = Ped::open_profiled(STENCIL).unwrap();
+    let mut ped = Ped::open_profiled(&STENCIL.replace("n = 64", "n = 1500")).unwrap();
     assert!(autoparallelize(&mut ped) > 0);
     let threads = ExecConfig { mode: ParallelMode::Threads(2), ..ExecConfig::default() };
     ped.run(threads).unwrap();
-    let run_only = ped.profile_report().scheduler.parallel_loops;
-    assert!(run_only > 0);
+    let run_only = ped.profile_report().scheduler;
+    assert_eq!((run_only.parallel_loops, run_only.inline_loops), (1, 8));
     ped.check(threads).unwrap();
-    assert_eq!(ped.profile_report().scheduler.parallel_loops, 2 * run_only);
+    let both = ped.profile_report().scheduler;
+    assert_eq!(both.parallel_loops, 2 * run_only.parallel_loops);
+    assert_eq!(both.inline_loops, 2 * run_only.inline_loops);
 }
