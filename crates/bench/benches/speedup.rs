@@ -178,9 +178,10 @@ fn main() {
         let (serial, serial_mem) = interp::run_source_with_memory(src, ExecConfig::default())
             .unwrap_or_else(|e| panic!("{name} serial: {e}"));
         let expect = (serial.printed.clone(), serial_mem);
+        // Best-of-N like the tree and threaded walls it is compared with;
+        // the cold reference run above does not count.
         let serial_wall =
-            timed_loop_wall(&format!("{name}/serial"), src, &ExecConfig::default(), &key, None)
-                .max(serial.profile[&key].wall_ns.max(1));
+            timed_loop_wall(&format!("{name}/serial"), src, &ExecConfig::default(), &key, None);
         let trip = serial.profile[&key].iterations;
 
         // Tree-walker oracle: identical output and memory, and the serial

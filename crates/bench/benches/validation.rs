@@ -14,16 +14,25 @@
 //! shadow-on pays a reported slowdown. The bounded regular-section
 //! analysis must close slab2d's workspace gap: its loop-carried edge on
 //! `w` is killed statically (and the loop privatizes), so slab2d reports
-//! zero unobserved static edges. Results land in `target/BENCH_E15.json`
-//! (with a profile report carrying the validation and sections blocks).
+//! zero unobserved static edges. It also times `Ped::check` itself, serial
+//! and on two threads, on every autoparallelized suite program, and gates
+//! the recorder's cost: shadow-on may cost at most 6x shadow-off. Results
+//! land in `target/BENCH_E15.json` (with a profile report carrying the
+//! validation and sections blocks).
 
 use ped_bench::apply_suite_assertions;
 use ped_bench::harness::{bench, fmt_ns};
 use ped_core::{autoparallelize, Ped, RaceVerdict};
 use ped_obs::json::Json;
-use ped_runtime::ExecConfig;
+use ped_runtime::{ExecConfig, ParallelMode};
 use ped_workloads::{all_programs, racy};
 use std::hint::black_box;
+
+/// Samples per `check` timing.
+const CHECK_SAMPLES: usize = 21;
+
+/// The most a shadow-on run may cost, in shadow-off runs.
+const MAX_SHADOW_ON_RATIO: f64 = 6.0;
 
 fn shadow_cfg() -> ExecConfig {
     ExecConfig { shadow: true, ..ExecConfig::default() }
@@ -87,12 +96,25 @@ fn main() {
     // ---- conservatism across the suite ---------------------------------
     println!("conservatism per program (static carried edges never observed):");
     let mut conservatism = Vec::new();
+    let mut check_ms = Vec::new();
     for w in all_programs() {
         let mut ped = Ped::open(w.source).unwrap();
         apply_suite_assertions(&mut ped, w.name);
         autoparallelize(&mut ped);
         let r = ped.check(ExecConfig::default()).unwrap();
         assert!(r.clean(), "{} must be race-free:\n{}", w.name, r.render_text());
+        // What a user waits for: the whole `check`, shadow run and
+        // validation, median of CHECK_SAMPLES.
+        let mut median_ms = |label: &str, mode| {
+            let cfg = ExecConfig { mode, ..ExecConfig::default() };
+            let stats = bench(&format!("check {} {label}", w.name), CHECK_SAMPLES, || {
+                ped.check(cfg).unwrap()
+            });
+            stats.median_ns() as f64 / 1e6
+        };
+        let serial = median_ms("serial", ParallelMode::Serial);
+        let threads2 = median_ms("threads 2", ParallelMode::Threads(2));
+        check_ms.push((w.name, serial, threads2));
         println!(
             "  {:<8} {:>2} loops, {:>3} observed, {:>2} unobserved static, {} validated",
             w.name,
@@ -133,6 +155,10 @@ fn main() {
          shadow-off must add no measurable overhead"
     );
     let on_ratio = ratio(on.median_ns(), off_a.min(off_b));
+    assert!(
+        on_ratio <= MAX_SHADOW_ON_RATIO,
+        "shadow-on costs {on_ratio:.2}x shadow-off (at most {MAX_SHADOW_ON_RATIO}x)"
+    );
     println!(
         "shadow off A/A medians {} / {} -> ratio {aa:.3} (must be <= 1.10: \
          shadow-off is a no-op branch) -> overhead_ok={overhead_ok}",
@@ -164,7 +190,7 @@ fn main() {
 
     let doc = Json::obj(vec![
         ("bench", Json::str("E15")),
-        ("schema_version", Json::int(1)),
+        ("schema_version", Json::int(2)),
         ("onedim_valid_clean", Json::Bool(valid.clean())),
         ("onedim_validated_deletions", Json::int(valid.validated_deletions as u64)),
         ("onedim_duplicate_caught", Json::Bool(!caught.clean())),
@@ -188,6 +214,19 @@ fn main() {
                             ),
                             ("races", Json::int(r.race_count() as u64)),
                         ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "check_ms",
+            Json::obj(
+                check_ms
+                    .iter()
+                    .map(|&(name, serial, threads2)| {
+                        let times =
+                            vec![("serial", Json::Num(serial)), ("threads2", Json::Num(threads2))];
+                        (name, Json::obj(times))
                     })
                     .collect(),
             ),

@@ -500,8 +500,13 @@ pub fn autopilot(ped: &mut Ped, cfg: &AutopilotConfig) -> AutopilotOutcome {
 
 /// Advisory search: the same planner, but every candidate — including
 /// the winner — is rolled back, leaving the session (graphs, journal,
-/// marks) exactly as it was. Returns the ranked plan per nest.
+/// marks, redo history) exactly as it was. Returns the ranked plan per
+/// nest.
 pub fn suggest(ped: &mut Ped, cfg: &AutopilotConfig) -> Suggestions {
+    ped.keeping_redo(|ped| search_program(ped, cfg))
+}
+
+fn search_program(ped: &mut Ped, cfg: &AutopilotConfig) -> Suggestions {
     let mut out = Suggestions::default();
     for ui in 0..ped.program().units.len() {
         let unit_name = ped.program().units[ui].name.clone();
@@ -651,6 +656,24 @@ mod tests {
             "{s:?}"
         );
         assert_matches_fresh(&mut ped, "suggest");
+    }
+
+    /// Trial applies clear redo like any transform; `suggest` must still
+    /// hand the user's redo history back untouched.
+    #[test]
+    fn suggest_keeps_the_users_redo_history() {
+        let src = "program t\nreal a(50000), b(50000)\ndo i = 1, 50000\na(i) = i * 2.0\nenddo\n\
+                   do i = 1, 50000\nb(i) = i * 3.0\nenddo\nprint *, a(1), b(1)\nend\n";
+        let mut ped = Ped::open(src).unwrap();
+        let first = ped.loops(0)[0].0;
+        ped.apply(0, first, &Xform::Parallelize).unwrap();
+        let parallel = ped.source();
+        assert!(ped.undo());
+        let s = suggest(&mut ped, &AutopilotConfig::default());
+        assert!(s.nests.iter().any(|n| n.plan.is_some()), "{s:?}");
+        assert!(ped.redo(), "redo after suggest must re-apply the undone transform");
+        assert_eq!(ped.source(), parallel);
+        assert_matches_fresh(&mut ped, "redo after suggest");
     }
 
     /// The plan-composition rule: scoring a sequence charges the

@@ -794,6 +794,22 @@ mod tests {
         );
         let v = json::parse(&resp.text).unwrap();
         assert_eq!(v.get("applied").and_then(Json::as_bool), Some(false));
+        // Nor does it touch the redo history: transform, undo, suggest,
+        // then redo re-applies the transform.
+        let header = Ped::open(hot).unwrap().loops(0)[0].0;
+        let reply = |line: String| json::parse(&d.handle_line(STDIO_OWNER, &line).text).unwrap();
+        let t = reply(format!(
+            "{{\"id\":4,\"verb\":\"transform\",\"session\":{s},\"unit\":\"hot\",\
+             \"target\":{},\"xform\":\"parallelize\"}}",
+            header.0
+        ));
+        assert_eq!(t.get("ok").and_then(Json::as_bool), Some(true), "{t:?}");
+        for (id, verb) in [(5, "undo"), (6, "suggest")] {
+            let v = reply(format!("{{\"id\":{id},\"verb\":\"{verb}\",\"session\":{s}}}"));
+            assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{verb}: {v:?}");
+        }
+        let v = reply(format!("{{\"id\":7,\"verb\":\"redo\",\"session\":{s}}}"));
+        assert_eq!(v.get("applied").and_then(Json::as_bool), Some(true), "{v:?}");
     }
 
     #[test]

@@ -1072,6 +1072,17 @@ impl Ped {
         undone
     }
 
+    /// Run `f` with the redo stack set aside, then put it back. Trial
+    /// applies clear redo like any successful transform; an advisory
+    /// search that rolls every trial back must leave the user's redo
+    /// history as it found it.
+    pub(crate) fn keeping_redo<R>(&mut self, f: impl FnOnce(&mut Ped) -> R) -> R {
+        let redo = std::mem::take(&mut self.redo);
+        let out = f(self);
+        self.redo = redo;
+        out
+    }
+
     /// Journal delta capturing the current state of one unit and the marks
     /// that refer to it. Every caller goes on to edit `unit_idx`, which
     /// must then refresh its [`Self::unit_sizes`] entry.
@@ -1580,6 +1591,32 @@ mod tests {
         assert!(err.0.contains("divisible"), "{err}");
         assert_eq!(ped.source(), before);
         assert!(!ped.undo(), "failed apply must not leave an undo entry");
+    }
+
+    /// Strip-mining leaves the tile loop an output dependence on `u` that
+    /// cannot occur (tiles cover disjoint `j`). It must be pending, so the
+    /// user can reject it and go on to parallelize the tiles.
+    #[test]
+    fn strip_mined_tile_dependence_can_be_rejected() {
+        let src = "subroutine init(u, n, m)\ninteger n, m\nreal u(n, m)\ndo j = 1, m\n\
+                   do i = 1, n\nu(i, j) = 0.01 * i + 0.02 * j\nenddo\nenddo\nreturn\nend\n";
+        let mut ped = Ped::open(src).unwrap();
+        let header = ped.loops(0)[0].0;
+        ped.apply(0, header, &Xform::StripMine { size: 64 }).unwrap();
+        assert!(ped.source().contains("min(jt$1 + 63, m)"), "{}", ped.source());
+        let tile = ped.loops(0)[0].0;
+        let u = ped.program().units[0].symbols.lookup("u");
+        let (id, proven) = {
+            let g = ped.graph(0, tile).unwrap();
+            g.deps
+                .iter()
+                .enumerate()
+                .find(|(_, d)| d.var == u && d.kind == DepKind::Output && d.level == Some(1))
+                .map(|(id, d)| (id, d.proven))
+                .expect("tile-level output dependence on u")
+        };
+        assert!(!proven, "disjoint tiles: the dependence is not proven");
+        ped.mark(0, tile, id, Mark::Rejected).expect("a pending dependence can be rejected");
     }
 
     /// Satellite regression: a *failed* apply must leave the redo stack

@@ -63,7 +63,7 @@ pub struct GraphStore {
 
 /// Format version stamped into every entry; bumped when the encoding
 /// changes so old files read as misses instead of garbage.
-const STORE_VERSION: u64 = 2;
+const STORE_VERSION: u64 = 3;
 
 impl GraphStore {
     /// Open (creating if needed) a store rooted at `dir`.

@@ -10,7 +10,7 @@
 //! marks themselves live in `ped-core`).
 
 use crate::driver::{test_pair, TestName};
-use crate::nest::NestCtx;
+use crate::nest::{bounds_vary, NestCtx};
 use crate::vectors::{DirSet, DirVector};
 use ped_analysis::scalars::{classify_scalars_with, ScalarClass};
 use ped_fortran::visit::{enclosing_loops, for_each_stmt, stmt_accesses, AccessKind};
@@ -413,7 +413,8 @@ pub fn build_graph(
                     &common,
                     Box::new(|s| (config.resolve)(s)),
                 );
-                emit_pair(a, b, &nest, i == j, config.pair_cache, obs, &mut deps);
+                let exact = !bounds_vary(unit, &common);
+                emit_pair(a, b, &nest, exact, i == j, config.pair_cache, obs, &mut deps);
             }
         }
     }
@@ -601,17 +602,21 @@ fn nest_path(unit: &ProgramUnit, header: StmtId, stmt: StmtId) -> Vec<StmtId> {
     }
 }
 
+/// `exact` is false over a nest whose bounds vary with an enclosing index
+/// ([`bounds_vary`]): no outcome there is proven.
+#[allow(clippy::too_many_arguments)]
 fn emit_pair(
     a: &ArrAccess,
     b: &ArrAccess,
     nest: &NestCtx<'_>,
+    exact: bool,
     same_access: bool,
     cache: Option<&crate::cache::PairCache>,
     obs: Option<&ped_obs::Obs>,
     deps: &mut Vec<Dependence>,
 ) {
     // Whole-array (call) endpoints: conservative all-star dependence.
-    let outcome = match (&a.subs, &b.subs) {
+    let mut outcome = match (&a.subs, &b.subs) {
         (Some(sa), Some(sb)) => match cache {
             Some(c) => c.test_pair(sa, sb, nest),
             None => test_pair(sa, sb, nest),
@@ -626,6 +631,7 @@ fn emit_pair(
             tests_used: vec![TestName::NonAffine],
         },
     };
+    outcome.proven &= exact;
     if let Some(o) = obs {
         // The last test the driver ran is the one that decided the pair.
         let decider = outcome.tests_used.last().copied().unwrap_or(TestName::Symbolic);
@@ -695,6 +701,34 @@ mod tests {
         let header = *u.body.iter().find(|&&s| u.is_loop(s)).unwrap();
         let g = build_graph(&u, header, &GraphConfig::conservative());
         (u, g)
+    }
+
+    /// A tile loop's `u(i, j)` output dependence cannot occur: the tiles
+    /// cover disjoint ranges of `j`. Only the inner loop's `min(..)` bound
+    /// says so, and the tests read each level as a rectangle, so the edge
+    /// survives but must stay pending (the user may reject it). The
+    /// rectangular twin, whose `j` loop repeats in every tile, really has
+    /// it, and it stays proven.
+    #[test]
+    fn tiled_nest_dependence_is_pending_and_its_rectangular_twin_proven() {
+        let nest = |j_loop: &str| {
+            format!(
+                "subroutine init(u, n, m)\ninteger n, m\nreal u(n, m)\ndo jt = 1, m, 64\n\
+                 {j_loop}\ndo i = 1, n\nu(i, j) = 0.01 * i + 0.02 * j\nenddo\nenddo\nenddo\n\
+                 return\nend\n"
+            )
+        };
+        let tile_output = |src: String| {
+            let (u, g) = graph(&src);
+            let var = u.symbols.lookup("u");
+            g.deps
+                .iter()
+                .find(|d| d.var == var && d.kind == DepKind::Output && d.level == Some(1))
+                .map(|d| d.proven)
+                .expect("tile-level output dependence on u")
+        };
+        assert!(!tile_output(nest("do j = jt, min(jt + 63, m)")), "tiled: pending");
+        assert!(tile_output(nest("do j = 1, 64")), "rectangular twin: proven");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! paper's three-pronged attack on symbolic subscripts.
 
 use ped_analysis::symbolic::{to_affine, Affine};
+use ped_fortran::visit::walk_expr;
 use ped_fortran::{Expr, ProgramUnit, StmtId, SymId};
 
 /// One loop of the shared nest (outermost first).
@@ -97,6 +98,26 @@ impl<'a> NestCtx<'a> {
     pub fn affine(&self, e: &Expr) -> Option<Affine> {
         to_affine(e, &*self.resolve)
     }
+}
+
+/// Do the bounds or the step of some loop in `headers` (outermost first)
+/// mention the index of a loop enclosing it there, as in a triangular or
+/// strip-mined nest? The tests read every level as the rectangle its own
+/// bounds describe, so over such a nest a level that no subscript
+/// constrains may claim iterations that never coexist (a tile loop's
+/// `u(i, j)` output dependence, when the tiles cover disjoint `j`): the
+/// dependence may not exist, and the graph must not call it proven.
+pub fn bounds_vary(unit: &ProgramUnit, headers: &[StmtId]) -> bool {
+    let mut outer: Vec<SymId> = Vec::new();
+    headers.iter().any(|&h| {
+        let d = unit.loop_of(h);
+        let mut found = false;
+        for e in [Some(&d.lo), Some(&d.hi), d.step.as_ref()].into_iter().flatten() {
+            walk_expr(e, &mut |x| found |= matches!(x, Expr::Var(s) if outer.contains(s)));
+        }
+        outer.push(d.var);
+        found
+    })
 }
 
 #[cfg(test)]

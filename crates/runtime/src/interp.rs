@@ -683,16 +683,11 @@ impl<'p> Interp<'p> {
             // scope (which lives on the submitting thread); worker-local
             // rebindings are its exclusion set, mirroring the serial
             // scope's masking of the same names.
-            let mut excluded = std::collections::HashSet::new();
-            excluded.insert(Arc::as_ptr(var_cell) as usize);
-            for &s in info.private.iter().chain(info.lastprivate.iter()) {
-                if let Some(c) = fr.get(s) {
-                    excluded.insert(Arc::as_ptr(c) as usize);
-                }
-            }
-            for (_, _, c) in red_cells {
-                excluded.insert(Arc::as_ptr(c) as usize);
-            }
+            let clauses = info.private.iter().chain(&info.lastprivate);
+            let excluded = std::iter::once(var_cell)
+                .chain(clauses.filter_map(|&s| fr.get(s)))
+                .chain(red_cells.iter().map(|(_, _, c)| c))
+                .map(|c| Arc::as_ptr(c) as usize);
             st.shadow = Some(Box::new(ShadowRec::tapped(excluded)));
         }
         st.red_watch = red_cells
@@ -1777,10 +1772,9 @@ fn shadow_masks(
     var_cell: &Arc<Cell>,
     info: &ped_fortran::ParallelInfo,
     frame: &Frame,
-) -> (std::collections::HashSet<usize>, std::collections::HashSet<usize>) {
-    let mut excluded = std::collections::HashSet::new();
-    let mut true_only = std::collections::HashSet::new();
-    excluded.insert(Arc::as_ptr(var_cell) as usize);
+) -> (Vec<usize>, Vec<usize>) {
+    let mut excluded = vec![Arc::as_ptr(var_cell) as usize];
+    let mut true_only = Vec::new();
     for &s in info
         .private
         .iter()
@@ -1790,9 +1784,9 @@ fn shadow_masks(
         if let Some(c) = frame.get(s) {
             let ptr = Arc::as_ptr(c) as usize;
             if c.is_array() {
-                true_only.insert(ptr);
+                true_only.push(ptr);
             } else {
-                excluded.insert(ptr);
+                excluded.push(ptr);
             }
         }
     }

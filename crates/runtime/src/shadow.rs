@@ -8,7 +8,11 @@
 //! every (cell, element) it keeps only the nearest prior read/write
 //! iteration, so a touch at iteration `i` immediately yields the carried
 //! flow/anti/output/input pairs ending at `i` with their distances. Memory
-//! stays proportional to the touched footprint, not the run length.
+//! stays proportional to the touched footprint, not the run length. That
+//! history lives in one place per location, with a slot per scope depth
+//! stamped by the scope invocation that owns it (see [`ShadowRec`]), so an
+//! access costs one lookup however deep the nest, and entering a loop
+//! allocates nothing.
 //!
 //! Privatized names are handled by *masking*: a parallel loop's scope
 //! carries the cell addresses Threads mode rebinds per worker — the loop
@@ -33,7 +37,8 @@
 
 use crate::memory::Cell;
 use ped_fortran::{StmtId, SymId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Kind of an observed cross-iteration dependence, aligned with the static
@@ -135,22 +140,110 @@ impl ShadowLog {
     }
 }
 
-/// Nearest-access history of one (cell, element). `prev_read` matters when
-/// an iteration reads a location it later writes: the write's carried
+/// The recorder's hasher for cell addresses: FxHash's multiply–rotate per
+/// word. `finish` rotates the product so that its well-mixed high bits
+/// land in the low bits the table indexes by: 16-byte-aligned addresses
+/// would otherwise share their low bits and crowd a few buckets.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type WordBuild = BuildHasherDefault<WordHasher>;
+
+/// "No such access yet" in a [`Slot`] field. Iteration indices never
+/// reach it, and it compares greater than all of them.
+const NONE: u64 = u64::MAX;
+
+/// Nearest-access history of one (cell, element) at one scope depth. It is
+/// valid only for the scope invocation whose stamp it carries: a slot
+/// stamped by an earlier invocation reads as empty. `prev_read` matters
+/// when an iteration reads a location it later writes: the write's carried
 /// anti-dependence must pair with the last read of an *earlier* iteration,
 /// which `last_read` alone (already advanced to the current iteration)
 /// would mask.
-#[derive(Debug, Clone, Copy, Default)]
-struct ElemHist {
-    last_read: Option<u64>,
-    prev_read: Option<u64>,
-    last_write: Option<u64>,
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    stamp: u64,
+    last_read: u64,
+    prev_read: u64,
+    last_write: u64,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot { stamp: 0, last_read: NONE, prev_read: NONE, last_write: NONE };
+
+    /// Apply one access at iteration `i`, returning the carried pairs it
+    /// closes as (kind, distance).
+    #[inline]
+    fn touch(&mut self, i: u64, write: bool) -> [Option<(ObsKind, u64)>; 2] {
+        let mut noted = [None, None];
+        if write {
+            let prior_read = if self.last_read == i { self.prev_read } else { self.last_read };
+            if prior_read != NONE {
+                noted[0] = Some((ObsKind::Anti, i - prior_read));
+            }
+            if self.last_write < i {
+                noted[1] = Some((ObsKind::Output, i - self.last_write));
+            }
+            self.last_write = i;
+        } else {
+            if self.last_write < i {
+                noted[0] = Some((ObsKind::True, i - self.last_write));
+            }
+            if self.last_read != i {
+                if self.last_read != NONE {
+                    noted[1] = Some((ObsKind::Input, i - self.last_read));
+                }
+                self.prev_read = self.last_read;
+                self.last_read = i;
+            }
+        }
+        noted
+    }
+}
+
+/// Where one (cell, element)'s slots live in [`ShadowRec::slots`]: `len`
+/// consecutive slots from `at`, one per scope depth from the outermost
+/// (`len` 0 until a scope sees the element).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    at: u32,
+    len: u32,
 }
 
 /// One raw access event captured in a worker chunk, replayed at the merge.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     ptr: usize,
+    /// The cell's index in the chunk's recorder (its place in the chunk's
+    /// kept cells).
+    ci: u32,
     elem: usize,
     write: bool,
     /// Global (serial) iteration index of the enclosing parallel loop.
@@ -162,81 +255,60 @@ pub struct Event {
 /// Worker-side event buffer standing in for the parallel loop's scope
 /// (which lives on the submitting thread).
 struct EventTap {
-    excluded: HashSet<usize>,
+    /// Cells the chunk rebinds per worker; a handful, so a vector.
+    excluded: Vec<usize>,
     iter: u64,
     events: Vec<Event>,
+}
+
+/// One cell a scope privatizes. A `flow_only` cell is an array privatized
+/// via a section proof: its scope still watches it, but records only
+/// carried *flow* — anti/output are exactly what a valid privatization
+/// removes, while a carried true dependence means the kill analysis was
+/// wrong (or the user forced the clause) and must surface as an observed
+/// race. Any other masked cell is invisible to its scope. Either way the
+/// cell is invisible to every scope enclosing it.
+#[derive(Debug, Clone, Copy)]
+struct Mask {
+    ptr: usize,
+    depth: usize,
+    flow_only: bool,
 }
 
 /// The per-loop observation state while the loop is running.
 struct ShadowScope {
     stmt: StmtId,
     iter: u64,
-    /// Cell addresses this loop privatizes (invisible to it and outward).
-    excluded: HashSet<usize>,
-    /// Cell addresses privatized as arrays via a section proof: this scope
-    /// still watches them, but records only carried *flow* — anti/output
-    /// are exactly what a valid privatization removes, while a carried
-    /// true dependence means the kill analysis was wrong (or the user
-    /// forced the clause) and must surface as an observed race. Like
-    /// `excluded`, the cell stays invisible to enclosing scopes.
-    true_only: HashSet<usize>,
-    hist: HashMap<(usize, usize), ElemHist>,
-    /// Carried dependences keyed by the sink access's (unit, symbol, kind);
+    /// This invocation's stamp on the slots it owns.
+    stamp: u64,
+    /// Where this scope's entries start in [`ShadowRec::masks`].
+    masks_from: usize,
+    /// Carried dependences keyed by the sink access's (unit, symbol, kind),
     /// resolved to names when the scope pops.
-    obs: HashMap<(usize, SymId, ObsKind), ObsStat>,
+    obs: ObsList,
 }
+
+/// A scope's carried stats. A loop observes a handful of names, so a
+/// short vector beats a map.
+type ObsList = Vec<((usize, SymId, ObsKind), ObsStat)>;
 
 impl ShadowScope {
-    fn touch(&mut self, ptr: usize, elem: usize, write: bool, unit: usize, sym: SymId) {
-        self.touch_filtered(ptr, elem, write, unit, sym, false)
-    }
-
-    fn touch_filtered(
-        &mut self,
-        ptr: usize,
-        elem: usize,
-        write: bool,
-        unit: usize,
-        sym: SymId,
-        true_only: bool,
-    ) {
-        let i = self.iter;
-        let h = self.hist.entry((ptr, elem)).or_default();
-        let prior_read = if h.last_read == Some(i) { h.prev_read } else { h.last_read };
-        let mut noted: [Option<(ObsKind, u64)>; 2] = [None, None];
-        if write {
-            if let Some(r) = prior_read {
-                noted[0] = Some((ObsKind::Anti, i - r));
-            }
-            if let Some(w) = h.last_write.filter(|&w| w < i) {
-                noted[1] = Some((ObsKind::Output, i - w));
-            }
-            h.last_write = Some(i);
-        } else {
-            if let Some(w) = h.last_write.filter(|&w| w < i) {
-                noted[0] = Some((ObsKind::True, i - w));
-            }
-            if h.last_read != Some(i) {
-                if let Some(r) = h.last_read {
-                    noted[1] = Some((ObsKind::Input, i - r));
-                }
-                h.prev_read = h.last_read;
-                h.last_read = Some(i);
-            }
-        }
-        for (kind, dist) in noted.into_iter().flatten() {
-            if true_only && kind != ObsKind::True {
-                continue;
-            }
-            match self.obs.get_mut(&(unit, sym, kind)) {
-                Some(s) => s.merge(ObsStat::new(dist)),
-                None => {
-                    self.obs.insert((unit, sym, kind), ObsStat::new(dist));
-                }
-            }
+    fn note(&mut self, key: (usize, SymId, ObsKind), dist: u64) {
+        match self.obs.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, stat)) => stat.merge(ObsStat::new(dist)),
+            None => self.obs.push((key, ObsStat::new(dist))),
         }
     }
 }
+
+thread_local! {
+    /// The last finished chunk's tables, emptied: the next chunk on this
+    /// thread starts from their capacity instead of growing its own.
+    static SPARE: std::cell::Cell<Option<Tables>> = const { std::cell::Cell::new(None) };
+}
+
+/// A recorder's cell index, element spans and slots (see [`ShadowRec`]).
+type Tables = (HashMap<usize, u32, WordBuild>, Vec<Vec<Span>>, Vec<Slot>);
 
 /// Everything one worker chunk observed, handed back for the merge.
 pub struct ShadowChunk {
@@ -247,12 +319,34 @@ pub struct ShadowChunk {
 
 /// The per-execution-context shadow recorder: a scope stack plus, in
 /// worker chunks, the event tap standing in for the parallel loop.
+///
+/// Every recorded cell gets a dense index (its position in `keep`), and
+/// each of its elements a [`Span`] of `slots`: one lookup per access
+/// serves every active scope, and consecutive elements of an array sit
+/// side by side in `spans`.
 pub struct ShadowRec {
     scopes: Vec<ShadowScope>,
+    /// The active scopes' masked cells, outermost scope first; each scope
+    /// masks a handful of cells, so a scan beats a set per scope.
+    masks: Vec<Mask>,
+    /// Popped scopes' emptied stat lists, reused by later pushes: a loop
+    /// invocation allocates nothing.
+    free: Vec<ObsList>,
+    /// Stamp of the most recently pushed scope (0 marks an unused slot).
+    stamp: u64,
+    /// Cell address to cell index.
+    cells: HashMap<usize, u32, WordBuild>,
+    /// The last cell looked up and its index: a run of touches to one
+    /// cell skips the table.
+    last_cell: (usize, u32),
+    /// Per cell index, each element's slots (empty until a scope sees it).
+    /// May run longer than `keep`: an emptied chunk table keeps its rows.
+    spans: Vec<Vec<Span>>,
+    slots: Vec<Slot>,
     tap: Option<EventTap>,
-    /// Keeps every recorded cell alive so freed-cell addresses are never
-    /// reused (which would alias distinct per-invocation locals).
-    keep_seen: HashSet<usize>,
+    /// Every recorded cell, by cell index. Keeping them alive means a
+    /// freed cell's address is never reused, which would alias distinct
+    /// per-invocation locals.
     keep: Vec<Arc<Cell>>,
     log: ShadowLog,
 }
@@ -260,21 +354,30 @@ pub struct ShadowRec {
 impl ShadowRec {
     /// Recorder for the submitting (serial/simulate/main) thread.
     pub fn serial() -> ShadowRec {
-        ShadowRec {
-            scopes: Vec::new(),
-            tap: None,
-            keep_seen: HashSet::new(),
-            keep: Vec::new(),
-            log: ShadowLog::default(),
-        }
+        ShadowRec::with_tables(Tables::default(), None)
     }
 
     /// Recorder for one worker chunk: accesses that fall past every local
     /// scope land in the event tap unless the chunk privatizes them.
-    pub fn tapped(excluded: HashSet<usize>) -> ShadowRec {
+    pub fn tapped(excluded: impl IntoIterator<Item = usize>) -> ShadowRec {
+        let excluded = excluded.into_iter().collect();
+        let tap = EventTap { excluded, iter: 0, events: Vec::new() };
+        ShadowRec::with_tables(SPARE.with(|s| s.take()).unwrap_or_default(), Some(tap))
+    }
+
+    fn with_tables((cells, spans, slots): Tables, tap: Option<EventTap>) -> ShadowRec {
         ShadowRec {
-            tap: Some(EventTap { excluded, iter: 0, events: Vec::new() }),
-            ..ShadowRec::serial()
+            scopes: Vec::new(),
+            masks: Vec::new(),
+            free: Vec::new(),
+            stamp: 0,
+            cells,
+            last_cell: (0, 0),
+            spans,
+            slots,
+            tap,
+            keep: Vec::new(),
+            log: ShadowLog::default(),
         }
     }
 
@@ -287,17 +390,18 @@ impl ShadowRec {
     pub fn push_scope(
         &mut self,
         stmt: StmtId,
-        excluded: HashSet<usize>,
-        true_only: HashSet<usize>,
+        excluded: impl IntoIterator<Item = usize>,
+        true_only: impl IntoIterator<Item = usize>,
     ) {
-        self.scopes.push(ShadowScope {
-            stmt,
-            iter: 0,
-            excluded,
-            true_only,
-            hist: HashMap::new(),
-            obs: HashMap::new(),
-        });
+        self.stamp += 1;
+        let (depth, masks_from) = (self.scopes.len(), self.masks.len());
+        // Flow-only entries first: a cell in both lists is excluded, since
+        // the innermost-out scan meets the later entry first.
+        let flow_only = true_only.into_iter().map(|ptr| Mask { ptr, depth, flow_only: true });
+        let hidden = excluded.into_iter().map(|ptr| Mask { ptr, depth, flow_only: false });
+        self.masks.extend(flow_only.chain(hidden));
+        let obs = self.free.pop().unwrap_or_default();
+        self.scopes.push(ShadowScope { stmt, iter: 0, stamp: self.stamp, masks_from, obs });
     }
 
     /// Set the innermost loop's current iteration index.
@@ -316,17 +420,20 @@ impl ShadowRec {
 
     /// Leave the innermost loop, folding what it observed into the log.
     /// `resolve` maps the sink access's (unit, symbol) to a variable name.
+    /// The fold only sums, takes minima and takes maxima, so the order in
+    /// which the scope met its dependences cannot reach the log.
     pub fn pop_scope(
         &mut self,
         unit_name: &str,
         iterations: u64,
         resolve: impl Fn(usize, SymId) -> String,
     ) {
-        let Some(scope) = self.scopes.pop() else { return };
+        let Some(mut scope) = self.scopes.pop() else { return };
+        self.masks.truncate(scope.masks_from);
         let e = self.log.loops.entry((unit_name.to_string(), scope.stmt)).or_default();
         e.invocations += 1;
         e.iterations += iterations;
-        for ((u, s, kind), stat) in scope.obs {
+        for ((u, s, kind), stat) in scope.obs.drain(..) {
             let key = (resolve(u, s), kind);
             match e.carried.get_mut(&key) {
                 Some(cur) => cur.merge(stat),
@@ -335,6 +442,7 @@ impl ShadowRec {
                 }
             }
         }
+        self.free.push(scope.obs);
     }
 
     /// Record one access. Walks active scopes innermost-out, stopping at
@@ -342,32 +450,94 @@ impl ShadowRec {
     /// scope reach the event tap (worker chunks only).
     pub fn record(&mut self, cell: &Arc<Cell>, elem: usize, write: bool, unit: usize, sym: SymId) {
         let ptr = Arc::as_ptr(cell) as usize;
-        if self.keep_seen.insert(ptr) {
-            self.keep.push(cell.clone());
-        }
-        if !self.feed(ptr, elem, write, unit, sym) {
+        let ci = match self.last_cell {
+            (last, ci) if last == ptr => ci,
+            _ => self.keep_cell(cell),
+        };
+        if !self.feed(ptr, ci, elem, write, unit, sym) {
             return;
         }
         if let Some(tap) = self.tap.as_mut() {
             if !tap.excluded.contains(&ptr) {
-                tap.events.push(Event { ptr, elem, write, iter: tap.iter, unit, sym });
+                tap.events.push(Event { ptr, ci, elem, write, iter: tap.iter, unit, sym });
             }
         }
     }
 
-    /// Feed scopes innermost-out; false when some scope excluded the cell.
-    fn feed(&mut self, ptr: usize, elem: usize, write: bool, unit: usize, sym: SymId) -> bool {
-        for scope in self.scopes.iter_mut().rev() {
-            if scope.excluded.contains(&ptr) {
-                return false;
+    /// The index of `cell`, kept alive from its first record on.
+    fn keep_cell(&mut self, cell: &Arc<Cell>) -> u32 {
+        let ptr = Arc::as_ptr(cell) as usize;
+        let next = u32::try_from(self.keep.len()).expect("shadow recorder exceeds u32 cells");
+        let ci = *self.cells.entry(ptr).or_insert(next);
+        if ci == next {
+            self.keep.push(cell.clone());
+            if self.spans.len() == self.keep.len() - 1 {
+                self.spans.push(Vec::new());
             }
-            if scope.true_only.contains(&ptr) {
-                scope.touch_filtered(ptr, elem, write, unit, sym, true);
-                return false;
-            }
-            scope.touch(ptr, elem, write, unit, sym);
         }
-        true
+        self.last_cell = (ptr, ci);
+        ci
+    }
+
+    /// Feed every scope the access reaches; false when some scope masks
+    /// the cell.
+    fn feed(
+        &mut self,
+        ptr: usize,
+        ci: u32,
+        elem: usize,
+        write: bool,
+        unit: usize,
+        sym: SymId,
+    ) -> bool {
+        // Find the outermost scope that observes the access: an excluding
+        // scope hides the cell from itself and from every scope enclosing
+        // it; a true-only scope observes it (flow only) and hides it from
+        // every scope enclosing it.
+        let depth = self.scopes.len();
+        let (first, flow_only, passes) = match self.masks.iter().rev().find(|m| m.ptr == ptr) {
+            None => (0, None, true),
+            Some(m) if m.flow_only => (m.depth, Some(m.depth), false),
+            Some(m) => (m.depth + 1, None, false),
+        };
+        if first == depth {
+            return passes;
+        }
+        let at = self.slots_of(ci, elem, depth);
+        let scopes = self.scopes[first..].iter_mut();
+        let slots = self.slots[at + first..at + depth].iter_mut();
+        for (d, (scope, slot)) in (first..).zip(scopes.zip(slots)) {
+            if slot.stamp != scope.stamp {
+                *slot = Slot { stamp: scope.stamp, ..Slot::EMPTY };
+            }
+            for (kind, dist) in slot.touch(scope.iter, write).into_iter().flatten() {
+                if flow_only != Some(d) || kind == ObsKind::True {
+                    scope.note((unit, sym, kind), dist);
+                }
+            }
+        }
+        passes
+    }
+
+    /// Index of the first of (at least) `depth` slots held by element
+    /// `elem` of cell `ci`. An element first seen at a shallower depth
+    /// moves to a longer span at the end of `slots`; its old slots go
+    /// unused.
+    fn slots_of(&mut self, ci: u32, elem: usize, depth: usize) -> usize {
+        let row = &mut self.spans[ci as usize];
+        if row.len() <= elem {
+            row.resize(elem + 1, Span { at: 0, len: 0 });
+        }
+        let span = &mut row[elem];
+        if (span.len as usize) < depth {
+            let at = self.slots.len();
+            let old = span.at as usize..(span.at + span.len) as usize;
+            self.slots.extend_from_within(old);
+            self.slots.resize(at + depth, Slot::EMPTY);
+            let at = u32::try_from(at).expect("shadow history exceeds u32 slots");
+            *span = Span { at, len: depth as u32 };
+        }
+        span.at as usize
     }
 
     /// Merge one chunk's observations: replay its event stream through the
@@ -375,20 +545,24 @@ impl ShadowRec {
     /// chunk belongs to) and fold its inner-loop log. Chunks must be
     /// absorbed in iteration (chunk-start) order.
     pub fn absorb_chunk(&mut self, chunk: ShadowChunk) {
-        for cell in chunk.keep {
-            if self.keep_seen.insert(Arc::as_ptr(&cell) as usize) {
-                self.keep.push(cell);
-            }
-        }
+        // The chunk's cell indices, translated to this recorder's.
+        let ci: Vec<u32> = chunk.keep.iter().map(|cell| self.keep_cell(cell)).collect();
         for e in &chunk.events {
             self.set_iter(e.iter);
-            self.feed(e.ptr, e.elem, e.write, e.unit, e.sym);
+            self.feed(e.ptr, ci[e.ci as usize], e.elem, e.write, e.unit, e.sym);
         }
         self.log.fold(chunk.log);
     }
 
-    /// Finish a worker chunk: hand the raw events + local log to the merge.
-    pub fn into_chunk(self) -> ShadowChunk {
+    /// Finish a worker chunk: hand the raw events + local log to the merge,
+    /// and leave the emptied tables to the next chunk on this thread.
+    pub fn into_chunk(mut self) -> ShadowChunk {
+        self.cells.clear();
+        for row in &mut self.spans {
+            row.clear();
+        }
+        self.slots.clear();
+        SPARE.with(|s| s.set(Some((self.cells, self.spans, self.slots))));
         ShadowChunk {
             events: self.tap.map(|t| t.events).unwrap_or_default(),
             log: self.log,
@@ -405,6 +579,7 @@ impl ShadowRec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn sym(n: u32) -> SymId {
         SymId(n)

@@ -15,7 +15,7 @@
 
 use ped_bench::apply_suite_assertions;
 use ped_core::{autoparallelize, render, AutopilotConfig, DepFilter, Ped, SourceFilter};
-use ped_runtime::{Engine, ExecConfig, Machine, ParallelMode};
+use ped_runtime::{Engine, ExecConfig, Machine, ParallelMode, ShadowLog};
 use ped_workloads::all_programs;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -177,6 +177,72 @@ fn render_simulate(engine: Engine) -> String {
         }
     }
     out
+}
+
+/// The shadow log of one run, one line per loop: unit, header,
+/// invocations, iterations, then each observed `(var, kind)` with its
+/// pair count and min/max distance, in the log's (sorted) order.
+fn render_shadow_log(log: &ShadowLog) -> String {
+    let mut out = String::new();
+    for ((unit, header), obs) in &log.loops {
+        write!(out, "{unit} {header} inv={} iters={}", obs.invocations, obs.iterations).unwrap();
+        for ((var, kind), s) in &obs.carried {
+            write!(out, " {var}:{kind}={}@{}..{}", s.count, s.min_dist, s.max_dist).unwrap();
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Golden shadow logs of the nine autoparallelized suite programs
+/// (`tests/snapshots/<name>.shadow.txt`), blessed through the same
+/// `UPDATE_SNAPSHOTS=1` flow. They pin what the recorder observes, so a
+/// change to its bookkeeping must leave every byte in place; `Simulate`
+/// and `Threads(2)` must observe exactly what the serial run does, on
+/// both engines.
+#[test]
+fn shadow_logs_match_snapshots() {
+    let dir = snapshot_dir();
+    let mut failures = Vec::new();
+    for w in all_programs() {
+        let mut ped = Ped::open(w.source).unwrap();
+        apply_suite_assertions(&mut ped, w.name);
+        autoparallelize(&mut ped);
+        let log_of = |mode, engine| {
+            let config = ExecConfig { mode, engine, shadow: true, ..ExecConfig::default() };
+            ped.run(config).unwrap().shadow.expect("shadow on")
+        };
+        let serial = log_of(ParallelMode::Serial, Engine::Bytecode);
+        for engine in [Engine::Bytecode, Engine::Tree] {
+            for mode in [ParallelMode::Simulate(Machine::with_procs(4)), ParallelMode::Threads(2)]
+            {
+                assert!(
+                    log_of(mode, engine) == serial,
+                    "{}: {mode:?} on {engine} observed a different shadow log",
+                    w.name
+                );
+            }
+        }
+        let got = render_shadow_log(&serial);
+        assert!(!got.is_empty(), "{}: no loop observed", w.name);
+        let path = dir.join(format!("{}.shadow.txt", w.name));
+        if blessing() {
+            std::fs::write(&path, &got).unwrap();
+            continue;
+        }
+        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!("missing snapshot {} ({e}); bless with UPDATE_SNAPSHOTS=1", path.display())
+        });
+        if got != want {
+            failures.push(format!("{}: {}", w.name, first_diff(&got, &want)));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "shadow logs diverged from snapshots (re-bless with UPDATE_SNAPSHOTS=1 \
+         only if what the recorder observes is meant to change):\n{}",
+        failures.join("\n")
+    );
 }
 
 /// The simulated machine's charges (`tests/snapshots/simulate.txt`) are
