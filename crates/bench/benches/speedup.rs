@@ -126,9 +126,26 @@ fn parallel_loop_of(src: &str) -> (usize, ped_fortran::StmtId, String) {
     (ui, header, unit.name.clone())
 }
 
-/// Run `src` under `config` `REPEATS` times; checks every repeat against
-/// the expected output and returns the minimum wall time of the profiled
-/// loop `(unit, header)`.
+/// Run `src` under `config` once; checks the run against the expected
+/// output and returns the wall time of the profiled loop `(unit, header)`.
+fn loop_wall(
+    label: &str,
+    src: &str,
+    config: &ExecConfig,
+    key: &(String, ped_fortran::StmtId),
+    expect: Option<&(Vec<String>, interp::MemorySnapshot)>,
+) -> u64 {
+    let (r, mem) =
+        interp::run_source_with_memory(src, *config).unwrap_or_else(|e| panic!("{label}: {e}"));
+    if let Some((printed, memory)) = expect {
+        assert_eq!(printed, &r.printed, "{label}: printed output diverged from serial");
+        assert_eq!(memory, &mem, "{label}: final memory diverged from serial");
+    }
+    let ls = r.profile.get(key).unwrap_or_else(|| panic!("{label}: loop {key:?} missing from profile"));
+    ls.wall_ns.max(1)
+}
+
+/// The minimum of `REPEATS` [`loop_wall`] samples.
 fn timed_loop_wall(
     label: &str,
     src: &str,
@@ -136,21 +153,7 @@ fn timed_loop_wall(
     key: &(String, ped_fortran::StmtId),
     expect: Option<&(Vec<String>, interp::MemorySnapshot)>,
 ) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..REPEATS {
-        let (r, mem) = interp::run_source_with_memory(src, *config)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        if let Some((printed, memory)) = expect {
-            assert_eq!(printed, &r.printed, "{label}: printed output diverged from serial");
-            assert_eq!(memory, &mem, "{label}: final memory diverged from serial");
-        }
-        let ls = r
-            .profile
-            .get(key)
-            .unwrap_or_else(|| panic!("{label}: loop {key:?} missing from profile"));
-        best = best.min(ls.wall_ns.max(1));
-    }
-    best
+    (0..REPEATS).map(|_| loop_wall(label, src, config, key, expect)).min().expect("REPEATS > 0")
 }
 
 fn main() {
@@ -178,22 +181,22 @@ fn main() {
         let (serial, serial_mem) = interp::run_source_with_memory(src, ExecConfig::default())
             .unwrap_or_else(|e| panic!("{name} serial: {e}"));
         let expect = (serial.printed.clone(), serial_mem);
-        // Best-of-N like the tree and threaded walls it is compared with;
-        // the cold reference run above does not count.
-        let serial_wall =
-            timed_loop_wall(&format!("{name}/serial"), src, &ExecConfig::default(), &key, None);
         let trip = serial.profile[&key].iterations;
 
         // Tree-walker oracle: identical output and memory, and the serial
-        // throughput reference the bytecode engine is gated against.
+        // throughput reference the bytecode engine is gated against. Both
+        // walls are best-of-N like the threaded ones (the cold reference
+        // run above does not count), and their samples alternate, so a
+        // drift in the host's speed moves both minima rather than one.
         let tree_cfg = ExecConfig { engine: Engine::Tree, ..ExecConfig::default() };
-        let tree_wall = timed_loop_wall(
-            &format!("{name}/tree"),
-            src,
-            &tree_cfg,
-            &key,
-            Some(&expect),
-        );
+        let (mut serial_wall, mut tree_wall) = (u64::MAX, u64::MAX);
+        for _ in 0..REPEATS {
+            let serial_cfg = ExecConfig::default();
+            let s = loop_wall(&format!("{name}/serial"), src, &serial_cfg, &key, None);
+            let t = loop_wall(&format!("{name}/tree"), src, &tree_cfg, &key, Some(&expect));
+            serial_wall = serial_wall.min(s);
+            tree_wall = tree_wall.min(t);
+        }
         let ratio = tree_wall as f64 / serial_wall as f64;
         min_ratio = min_ratio.min(ratio);
         assert!(

@@ -465,6 +465,7 @@ impl Ped {
 mod tests {
     use super::*;
     use crate::session::{Assertion, Mark};
+    use ped_runtime::{Engine, Machine, ParallelMode};
     use ped_transform::Xform;
 
     fn check_default(ped: &mut Ped) -> ValidationReport {
@@ -648,7 +649,8 @@ mod tests {
         // Mutation test: the kill analysis rejects privatizing w (the
         // w(32) element carries real flow), the user forces the clause
         // anyway — the true-only shadow watch must surface the carried
-        // flow as an InvalidArrayPrivatization race.
+        // flow as an InvalidArrayPrivatization race, however the checked
+        // run is scheduled and whichever engine runs it.
         let src = "program t\nreal w(32), a(16,32)\ndo is = 1, 16\ndo ip = 1, 31\n\
              w(ip) = real(is + ip)\nenddo\ndo ip = 1, 32\na(is,ip) = w(ip)\nenddo\n\
              w(32) = w(1)\nenddo\nprint *, a(1,1)\nend\n";
@@ -658,11 +660,22 @@ mod tests {
         let d = ped.diagnose(0, h, &Xform::ArrayPrivatize { var: w }).unwrap();
         assert!(!d.ok(), "diagnose must reject the partial kill: {d:?}");
         ped.apply(0, h, &Xform::ArrayPrivatize { var: w }).unwrap();
-        let r = check_default(&mut ped);
-        assert!(!r.clean(), "{}", r.render_text());
-        let race = r.races().find(|f| f.var == "w").unwrap();
-        assert_eq!(race.kind, ObsKind::True);
-        assert_eq!(race.verdict, RaceVerdict::InvalidArrayPrivatization);
+        let modes = [
+            ParallelMode::Serial,
+            ParallelMode::Simulate(Machine::with_procs(4)),
+            ParallelMode::Threads(2),
+        ];
+        for engine in [Engine::Bytecode, Engine::Tree] {
+            for mode in modes {
+                let r = ped.check(ExecConfig { mode, engine, ..ExecConfig::default() }).unwrap();
+                let sub = format!("{engine} {mode:?}");
+                assert!(!r.clean(), "{sub}: {}", r.render_text());
+                let race = r.races().find(|f| f.var == "w");
+                let race = race.unwrap_or_else(|| panic!("{sub}: {}", r.render_text()));
+                assert_eq!(race.kind, ObsKind::True, "{sub}");
+                assert_eq!(race.verdict, RaceVerdict::InvalidArrayPrivatization, "{sub}");
+            }
+        }
     }
 
     #[test]

@@ -673,9 +673,9 @@ mod tests {
     const SCALAR_TO_ARRAY_FORMAL: &str = "program t\nx = 1.0\ncall f(x)\nend\n\
                                           subroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
 
-    /// The same bad call inside a `PARALLEL DO`. Checked with two threads,
-    /// it panics in a pool worker: a CALL body has no static step bound,
-    /// so the loop does not run inline.
+    /// The same bad call inside a `PARALLEL DO`, checked with two threads.
+    /// A checked run executes every `PARALLEL DO` on the calling thread,
+    /// so it panics there, inside the loop's chunk.
     const SCALAR_TO_ARRAY_FORMAL_IN_PARALLEL_DO: &str =
         "program t\nx = 1.0\nparallel do i = 1, 4\ncall f(x)\nenddo\nend\n\
          subroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";

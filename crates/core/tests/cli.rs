@@ -16,9 +16,10 @@ const NAMED: &str = "t: `a` is subscripted but not declared as an array";
 const SCALAR_TO_ARRAY_FORMAL: &str =
     "program t\nx = 1.0\ncall f(x)\nend\nsubroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
 
-/// The same bad call inside a `PARALLEL DO`: with two threads it panics in
-/// a pool worker (a CALL body has no static step bound, so the loop does
-/// not run inline).
+/// The same bad call inside a `PARALLEL DO`. A plain run with two threads
+/// panics in a pool worker (a CALL body has no static step bound, so the
+/// loop does not run inline); a checked run executes every `PARALLEL DO`
+/// on the calling thread and panics there.
 const SCALAR_TO_ARRAY_FORMAL_IN_PARALLEL_DO: &str = "program t\nx = 1.0\n\
      parallel do i = 1, 4\ncall f(x)\nenddo\nend\nsubroutine f(a)\nreal a(10)\na(1) = 2.0\nend\n";
 
@@ -91,7 +92,7 @@ fn interactive_run_of_undeclared_array_prints_an_error_and_continues() {
 
 /// A request that panics gets an `internal_error` reply; the other
 /// session keeps answering and the daemon shuts down cleanly. That holds
-/// for a panic on the request's thread and for one in a pool worker.
+/// for a serial and for a threaded `check`.
 #[test]
 fn serve_survives_a_panicking_request() {
     let open = |id: u64, src: &str| {

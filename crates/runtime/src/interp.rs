@@ -7,7 +7,7 @@ use crate::pool::{
     plan_chunks, Chunk, ChunkQueues, Pool, SchedStats, Schedule, ShutdownOnDrop, StepBudget,
     INLINE_STEPS,
 };
-use crate::shadow::{ShadowChunk, ShadowLog, ShadowRec};
+use crate::shadow::{ShadowLog, ShadowRec};
 use crate::value::Value;
 use ped_fortran::ast::Intrinsic;
 use ped_fortran::symbols::Const;
@@ -30,7 +30,9 @@ pub enum ParallelMode {
     /// order, through the same chunk and merge path as `Threads`; each
     /// loop is charged as the machine's schedule (deterministic).
     Simulate(Machine),
-    /// Real host threads.
+    /// Real host threads. A shadow run (see [`ExecConfig::shadow`]) keeps
+    /// the threaded semantics but executes every `PARALLEL DO` on the
+    /// calling thread.
     Threads(usize),
 }
 
@@ -92,7 +94,9 @@ pub struct ExecConfig {
     /// Shadow-memory access logging: record every touch per loop
     /// iteration and derive the observed cross-iteration dependence set
     /// (see [`crate::shadow`]). Works in every mode; the result lands in
-    /// [`RunResult::shadow`].
+    /// [`RunResult::shadow`]. A shadow run executes every `PARALLEL DO` on
+    /// the calling thread, so the one recorder observes each chunk
+    /// directly.
     pub shadow: bool,
     /// Which engine executes program bodies (see [`Engine`]), in every
     /// mode.
@@ -218,10 +222,11 @@ impl IterSpace {
 }
 
 /// One `PARALLEL DO` invocation packaged for the worker pool, or for the
-/// calling thread (under `Simulate`, and under `Threads` when the loop
-/// runs inline). Fully owned payload (the loop is named by its statement
-/// and looked up in the program; the frame's cells are `Arc`s), so a job
-/// outlives the submitting stack frame without lifetime juggling.
+/// calling thread (under `Simulate`, in a shadow run, and under `Threads`
+/// when the loop runs inline). Fully owned payload (the loop is named by
+/// its statement and looked up in the program; the frame's cells are
+/// `Arc`s), so a job outlives the submitting stack frame without lifetime
+/// juggling.
 pub(crate) struct LoopJob {
     unit_idx: usize,
     /// The `PARALLEL DO` statement (see [`Interp::parallel_loop`]).
@@ -266,8 +271,6 @@ struct ChunkOut {
     red_contribs: Vec<Vec<RedContrib>>,
     /// Values of the lastprivate cells when the chunk finished.
     lastprivates: Vec<(SymId, Value)>,
-    /// Shadow observations (raw events + inner-loop log) of the chunk.
-    shadow: Option<ShadowChunk>,
     err: Option<RtError>,
 }
 
@@ -300,7 +303,7 @@ pub(crate) struct RedWatch {
 /// What a worker chunk adds to the iteration driver
 /// ([`Interp::drive`]): its reductions, re-seeded before each slow
 /// iteration and logged per iteration for the merge, and the global
-/// iteration index its shadow events carry.
+/// iteration index the shadow recorder's parallel scope observes.
 pub(crate) struct ChunkTap {
     /// The chunk's first iteration (offset into the loop's space).
     start: u64,
@@ -332,7 +335,7 @@ impl ChunkTap {
             w.clean = true;
         }
         if let Some(sh) = st.shadow.as_deref_mut() {
-            sh.set_tap_iter(self.start + k);
+            sh.set_iter(self.start + k);
         }
     }
 
@@ -491,11 +494,12 @@ impl<'p> Interp<'p> {
             .ok_or_else(|| RtError::new("no main program unit"))?;
         // The worker pool is built lazily in the sense that a run whose
         // program has no parallel loop (or isn't in Threads mode) never
-        // spawns a thread. When it is built, it is built once and reused
-        // by every PARALLEL DO of the run: fork cost per loop is a condvar
-        // wakeup, not nthreads thread spawns.
+        // spawns a thread, and neither does a shadow run, whose one
+        // recorder lives on this thread. When it is built, it is built
+        // once and reused by every PARALLEL DO of the run: fork cost per
+        // loop is a condvar wakeup, not nthreads thread spawns.
         let workers = match self.config.mode {
-            ParallelMode::Threads(n) if self.has_parallel_loop() => n.max(1),
+            ParallelMode::Threads(n) if !self.config.shadow && self.has_parallel_loop() => n.max(1),
             _ => 0,
         };
         if workers == 0 {
@@ -523,7 +527,7 @@ impl<'p> Interp<'p> {
         let mut state = ExecState::new(Arc::new(StepBudget::new(self.config.max_steps)));
         state.pool = pool;
         if self.config.shadow {
-            state.shadow = Some(Box::new(ShadowRec::serial()));
+            state.shadow = Some(Box::default());
         }
         let res = self.make_frame(main_idx, &[], &mut state).and_then(|frame| {
             let flow = if self.compiled.is_some() {
@@ -594,8 +598,8 @@ impl<'p> Interp<'p> {
         let mut generation = 0u64;
         while let Some(job) = pool.next_job(&mut generation) {
             let base = job.base_frame.as_ref().expect("a pool job carries its frame");
-            let run = catch_unwind(AssertUnwindSafe(|| self.run_job_chunks(&job, worker, base)));
-            if let Err(p) = run {
+            let chunks = || self.run_job_chunks(&job, worker, base, &mut None);
+            if let Err(p) = catch_unwind(AssertUnwindSafe(chunks)) {
                 job.panic.lock().expect("no panic while the slot is held").get_or_insert(p);
             }
             pool.finish_job();
@@ -615,8 +619,17 @@ impl<'p> Interp<'p> {
 
     /// One worker's share of a job: bind per-worker private slots once on
     /// a clone of the submitting frame `base`, then drain chunks (own
-    /// deque first, stealing when it runs dry).
-    fn run_job_chunks(&self, job: &LoopJob, worker: usize, base: &Frame) {
+    /// deque first, stealing when it runs dry). A shadow run's recorder
+    /// (`shadow`, on the calling thread) masks the rebound cells at the
+    /// loop's scope, records every chunk, and forgets the rebound cells
+    /// once the job is done with them.
+    fn run_job_chunks(
+        &self,
+        job: &LoopJob,
+        worker: usize,
+        base: &Frame,
+        shadow: &mut Option<Box<ShadowRec>>,
+    ) {
         let unit = &self.program.units[job.unit_idx];
         let (d, info) = self.parallel_loop(job.unit_idx, job.sid);
         let mut fr = base.clone();
@@ -646,6 +659,11 @@ impl<'p> Interp<'p> {
             .iter()
             .map(|&s| (s, fr.get(s).expect("bound above").clone()))
             .collect();
+        let rebound = shadow.as_deref_mut().map(|sh| {
+            let (excluded, true_only) = shadow_masks(&var_cell, info, &fr);
+            sh.mask(excluded.iter().copied(), true_only.iter().copied());
+            [excluded, true_only].concat()
+        });
         while let Some((chunk, stolen)) = job.queues.take(worker) {
             if stolen {
                 job.chunks_stolen.fetch_add(1, Ordering::Relaxed);
@@ -653,11 +671,23 @@ impl<'p> Interp<'p> {
             if chunk.start > job.first_fault.load(Ordering::Relaxed) {
                 continue;
             }
-            let out = self.exec_chunk(job, chunk, worker, &fr, &var_cell, &red_cells, &last_cells);
+            let out = self.exec_chunk(
+                job,
+                chunk,
+                worker,
+                &fr,
+                &var_cell,
+                &red_cells,
+                &last_cells,
+                shadow,
+            );
             if out.err.is_some() {
                 job.first_fault.fetch_min(chunk.start, Ordering::Relaxed);
             }
             job.outs.lock().unwrap().push(out);
+        }
+        if let (Some(sh), Some(rebound)) = (shadow.as_deref_mut(), rebound) {
+            sh.forget(rebound);
         }
     }
 
@@ -671,25 +701,17 @@ impl<'p> Interp<'p> {
         var_cell: &Arc<Cell>,
         red_cells: &[(RedOp, Ty, Arc<Cell>)],
         last_cells: &[(SymId, Arc<Cell>)],
+        shadow: &mut Option<Box<ShadowRec>>,
     ) -> ChunkOut {
-        let (d, info) = self.parallel_loop(job.unit_idx, job.sid);
+        let (d, _) = self.parallel_loop(job.unit_idx, job.sid);
         let mut st = ExecState::new(job.budget.clone());
         st.in_parallel = true;
         // Claim the block the first tick would, so that a fast body runs
         // its first iteration in fast form too.
         st.granted = job.budget.acquire(crate::pool::BUDGET_BLOCK);
-        if self.config.shadow {
-            // The chunk's event tap stands in for the parallel loop's
-            // scope (which lives on the submitting thread); worker-local
-            // rebindings are its exclusion set, mirroring the serial
-            // scope's masking of the same names.
-            let clauses = info.private.iter().chain(&info.lastprivate);
-            let excluded = std::iter::once(var_cell)
-                .chain(clauses.filter_map(|&s| fr.get(s)))
-                .chain(red_cells.iter().map(|(_, _, c)| c))
-                .map(|c| Arc::as_ptr(c) as usize);
-            st.shadow = Some(Box::new(ShadowRec::tapped(excluded)));
-        }
+        // The recorder records the chunk, whose iterations `ChunkTap`
+        // numbers for the loop's scope, and goes back to the caller after.
+        st.shadow = shadow.take();
         st.red_watch = red_cells
             .iter()
             .map(|&(op, ty, ref c)| RedWatch {
@@ -731,6 +753,7 @@ impl<'p> Interp<'p> {
         // replays contributions.
         flush_red(&mut tap.red_bufs, &mut tap.red_contribs);
         st.release_grant();
+        *shadow = st.shadow.take();
         // Capture lastprivate values now — the cells are reused by this
         // worker's next chunk.
         let lastprivates = last_cells.iter().map(|(s, c)| (*s, c.load_scalar())).collect();
@@ -744,7 +767,6 @@ impl<'p> Interp<'p> {
             profile: st.profile,
             red_contribs: tap.red_contribs,
             lastprivates,
-            shadow: st.shadow.take().map(|sh| sh.into_chunk()),
             err,
         }
     }
@@ -1002,16 +1024,9 @@ impl<'p> Interp<'p> {
 
     /// Does this execution of `d` go through the job/chunk/merge path? A
     /// `PARALLEL DO` does when it is not already inside one, under
-    /// `Simulate`, and under `Threads` when the run has a pool (otherwise
-    /// it runs serially).
+    /// `Simulate` and `Threads`.
     pub(crate) fn forks(&self, d: &ped_fortran::DoLoop, state: &ExecState<'_>) -> bool {
-        d.is_parallel()
-            && !state.in_parallel
-            && match self.config.mode {
-                ParallelMode::Serial => false,
-                ParallelMode::Simulate(_) => true,
-                ParallelMode::Threads(_) => state.pool.is_some(),
-            }
+        d.is_parallel() && !state.in_parallel && self.config.mode != ParallelMode::Serial
     }
 
     /// Does this `Threads` execution of a `PARALLEL DO` with `trip`
@@ -1020,10 +1035,10 @@ impl<'p> Interp<'p> {
     /// trip times the exact step count of one iteration, which only a
     /// straight-line body lowered to fast form has. So the decision depends
     /// on the program and the trip alone, never on timing: scheduler
-    /// counters repeat run to run, and a shadow `check` decides as a plain
-    /// run does. The tree engine lowers nothing, so its loops have no
-    /// bound and always go to the pool; its `Threads` runs are thereby the
-    /// pool-path oracle for the bytecode engine's inline ones.
+    /// counters repeat run to run. The tree engine lowers nothing, so its
+    /// loops have no bound and always go to the pool; its `Threads` runs
+    /// are thereby the pool-path oracle for the bytecode engine's inline
+    /// ones. (A shadow run has no pool: everything runs inline.)
     fn runs_inline(&self, unit_idx: usize, cdo: Option<u32>, trip: u64) -> bool {
         let fast =
             cdo.zip(self.compiled.as_ref()).and_then(|(ci, cp)| cp.units[unit_idx].loop_fast(ci));
@@ -1035,10 +1050,10 @@ impl<'p> Interp<'p> {
     /// recombined in serial fold order, lastprivate from the chunk holding
     /// the final iteration. Output is therefore bit-identical to serial
     /// execution. Under `Threads` the pool runs the schedule's chunks,
-    /// unless the loop [runs inline](Self::runs_inline): then this thread
-    /// runs it as one chunk. Under `Simulate` this thread runs the
-    /// machine's static blocks in iteration order and charges them through
-    /// [`Machine::block_charge`].
+    /// unless the loop [runs inline](Self::runs_inline) or the run has no
+    /// pool (a shadow run): then this thread runs it as one chunk. Under
+    /// `Simulate` this thread runs the machine's static blocks in
+    /// iteration order and charges them through [`Machine::block_charge`].
     pub(crate) fn run_parallel(
         &self,
         unit_idx: usize,
@@ -1053,15 +1068,12 @@ impl<'p> Interp<'p> {
         let n = space.count as usize;
         let (chunks, pool) = match (self.config.mode, state.pool) {
             (ParallelMode::Simulate(m), _) => (plan_chunks(Schedule::Static, n, m.procs), None),
-            (_, Some(_)) if n > 0 && self.runs_inline(unit_idx, cdo, space.count) => {
-                (plan_chunks(Schedule::Static, n, 1), None)
-            }
-            (_, Some(pool)) if n > 0 => {
+            // An empty loop under Threads: nothing to dispatch or charge.
+            _ if n == 0 => return Ok(Flow::Normal),
+            (_, Some(pool)) if !self.runs_inline(unit_idx, cdo, space.count) => {
                 (plan_chunks(self.config.schedule, n, pool.workers()), Some(pool))
             }
-            // An empty loop under Threads: nothing to dispatch or charge.
-            // (`forks` keeps a Threads run without a pool off this path.)
-            _ => return Ok(Flow::Normal),
+            _ => (plan_chunks(Schedule::Static, n, 1), None),
         };
         let workers = pool.map_or(1, Pool::workers);
         // The chunks draw on the whole remaining budget, so a budget abort
@@ -1087,7 +1099,7 @@ impl<'p> Interp<'p> {
                     resume_unwind(p);
                 }
             }
-            None => self.run_job_chunks(&job, 0, frame),
+            None => self.run_job_chunks(&job, 0, frame, &mut state.shadow),
         }
 
         let mut outs = std::mem::take(&mut *job.outs.lock().unwrap());
@@ -1138,18 +1150,6 @@ impl<'p> Interp<'p> {
         }
         for o in &outs {
             state.printed.extend_from_slice(&o.printed);
-        }
-        // Shadow merge: replay each chunk's event stream — in iteration
-        // (chunk-start) order — through this thread's scope stack, whose
-        // innermost scope is this loop's; fold worker inner-loop logs.
-        // The concatenated stream equals the serial access stream, so the
-        // observation is deterministic and mode-independent.
-        if let Some(sh) = state.shadow.as_deref_mut() {
-            for o in &mut outs {
-                if let Some(chunk) = o.shadow.take() {
-                    sh.absorb_chunk(chunk);
-                }
-            }
         }
         // Reductions: replay each iteration's logged accumulation operands
         // (or its fallback delta) in global iteration order — exactly the
@@ -2078,7 +2078,8 @@ mod tests {
     /// A `Threads` loop runs inline exactly when its static bound, trip
     /// times per-iteration steps, is within `INLINE_STEPS`. A CALL body
     /// has no bound, and the tree engine bounds nothing, so both go to
-    /// the pool. Output and memory are the serial run's in every case.
+    /// the pool. A shadow run has no pool and runs all of them inline.
+    /// Output and memory are the serial run's in every case.
     #[test]
     fn inline_boundary_is_the_static_step_bound() {
         let straight = |trip: u64| {
@@ -2094,13 +2095,19 @@ mod tests {
         let edge = INLINE_STEPS / 2;
         let threads = ExecConfig { mode: ParallelMode::Threads(2), ..ExecConfig::default() };
         let tree = ExecConfig { engine: Engine::Tree, ..threads };
+        let (shadow, shadow_tree) =
+            (ExecConfig { shadow: true, ..threads }, ExecConfig { shadow: true, ..tree });
         for (src, config, inline) in [
             (straight(edge), threads, true),
             (straight(edge + 1), threads, false),
-            (call, threads, false),
+            (call.clone(), threads, false),
             (straight(edge), tree, false),
+            (straight(edge + 1), shadow, true),
+            (call, shadow, true),
+            (straight(edge), shadow_tree, true),
         ] {
-            let sub = format!("{:?} {}", config.engine, src.lines().nth(2).unwrap());
+            let line = src.lines().nth(2).unwrap();
+            let sub = format!("{:?} shadow={} {line}", config.engine, config.shadow);
             let (serial, serial_mem) = run_source_with_memory(&src, ExecConfig::default()).unwrap();
             let (r, mem) = run_source_with_memory(&src, config).unwrap();
             assert_eq!(r.printed, serial.printed, "{sub}");
@@ -2320,44 +2327,35 @@ mod tests {
         // Parallel loops with private scalars, a reduction, an inner
         // serial loop, and a serial recurrence: the observed log must be
         // bit-identical whether executed serially, simulated, or threaded
-        // under any schedule (events replay in serial iteration order).
-        let src = "program t\nreal a(60), b(60)\ndo i = 1, 60\nb(i) = 0.1 * i\nenddo\n\
-                   parallel do i = 1, 60 private(t1) lastprivate(j)\nt1 = b(i) * 2.0\n\
-                   do j = 1, 5\na(i) = b(i) + t1 * j\nenddo\nenddo\n\
-                   s = 0.0\nparallel do i = 1, 60 reduction(+:s)\ns = s + a(i)\nenddo\n\
-                   a(1) = 0.0\ndo i = 2, 60\na(i) = a(i-1) + b(i)\nenddo\nprint *, s, a(60)\nend\n";
-        let base = run_source(src, ExecConfig { shadow: true, ..ExecConfig::default() })
-            .unwrap()
-            .shadow
-            .unwrap();
-        assert!(base.observed_deps() > 0);
-        let sim = run_source(
-            src,
-            ExecConfig {
-                shadow: true,
-                mode: ParallelMode::Simulate(Machine::alliant8()),
-                ..ExecConfig::default()
-            },
-        )
-        .unwrap()
-        .shadow
-        .unwrap();
-        assert_eq!(base, sim);
-        for k in [2usize, 4] {
-            for schedule in [Schedule::Static, Schedule::Dynamic(7), Schedule::Guided] {
-                let par = run_source(
-                    src,
-                    ExecConfig {
-                        shadow: true,
-                        mode: ParallelMode::Threads(k),
-                        schedule,
-                        ..ExecConfig::default()
-                    },
-                )
-                .unwrap()
-                .shadow
-                .unwrap();
-                assert_eq!(base, par, "threads={k} schedule={schedule}");
+        // under any schedule.
+        let mixed = "program t\nreal a(60), b(60)\ndo i = 1, 60\nb(i) = 0.1 * i\nenddo\n\
+                     parallel do i = 1, 60 private(t1) lastprivate(j)\nt1 = b(i) * 2.0\n\
+                     do j = 1, 5\na(i) = b(i) + t1 * j\nenddo\nenddo\n\
+                     s = 0.0\nparallel do i = 1, 60 reduction(+:s)\ns = s + a(i)\nenddo\n\
+                     a(1) = 0.0\ndo i = 2, 60\na(i) = a(i-1) + b(i)\nenddo\nprint *, s, a(60)\nend\n";
+        // An invalid array privatization: w(32) carries flow from one `is`
+        // iteration to the next, which the parallel loop must observe
+        // through every mode's copy of w.
+        let forced = "program mutw\nreal w(32), a(16,32)\nparallel do is = 1, 16 private(w, ip)\n\
+                      do ip = 1, 31\nw(ip) = real(is + ip)\nenddo\ndo ip = 1, 32\n\
+                      a(is,ip) = w(ip)\nenddo\nw(32) = w(1)\nenddo\nprint *, a(1,1)\nend\n";
+        for src in [mixed, forced] {
+            let log = |mode, schedule| {
+                let config = ExecConfig { shadow: true, mode, schedule, ..ExecConfig::default() };
+                run_source(src, config).unwrap().shadow.unwrap()
+            };
+            let base = log(ParallelMode::Serial, Schedule::default());
+            assert!(base.observed_deps() > 0);
+            assert_eq!(base, log(ParallelMode::Simulate(Machine::alliant8()), Schedule::default()));
+            for k in [2usize, 4] {
+                for schedule in [Schedule::Static, Schedule::Dynamic(7), Schedule::Guided] {
+                    let par = log(ParallelMode::Threads(k), schedule);
+                    assert_eq!(base, par, "threads={k} schedule={schedule}");
+                }
+            }
+            if src == forced {
+                let par = base.loops.values().find(|l| l.invocations == 1).unwrap();
+                assert!(par.carried.contains_key(&("w".to_string(), ObsKind::True)), "{par:?}");
             }
         }
     }

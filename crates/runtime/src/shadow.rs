@@ -26,17 +26,16 @@
 //! visible to any enclosing parallel scope whose parallelization failed to
 //! privatize it.
 //!
-//! Threads mode keeps the observation deterministic by construction:
-//! workers do not update the parallel loop's scope concurrently. Instead
-//! each chunk logs its raw events through an [`EventTap`] (inner serial
-//! loops inside the chunk use ordinary local scopes) and the merge replays
-//! the event streams on the submitting thread in chunk-start order — the
-//! serial iteration order — through the same scope stack. The resulting
-//! [`ShadowLog`] is therefore identical under Serial, Simulate, and
-//! Threads execution of the same program.
+//! A shadow run executes every `PARALLEL DO` on the calling thread (see
+//! [`crate::ExecConfig::shadow`]): its chunks record straight into the
+//! run's one recorder, in iteration order, and each masks the copies it
+//! rebinds by the same rule as the loop's scope ([`ShadowRec::mask`]). The
+//! resulting [`ShadowLog`] is therefore identical under Serial, Simulate,
+//! and Threads execution of the same program.
 
 use crate::memory::Cell;
 use ped_fortran::{StmtId, SymId};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -117,23 +116,6 @@ pub struct ShadowLog {
 }
 
 impl ShadowLog {
-    /// Merge another log (worker-local inner-loop observations).
-    pub fn fold(&mut self, other: ShadowLog) {
-        for (key, obs) in other.loops {
-            let e = self.loops.entry(key).or_default();
-            e.invocations += obs.invocations;
-            e.iterations += obs.iterations;
-            for (k, stat) in obs.carried {
-                match e.carried.get_mut(&k) {
-                    Some(s) => s.merge(stat),
-                    None => {
-                        e.carried.insert(k, stat);
-                    }
-                }
-            }
-        }
-    }
-
     /// Total observed carried (variable, kind) dependences over all loops.
     pub fn observed_deps(&self) -> usize {
         self.loops.values().map(|l| l.carried.len()).sum()
@@ -237,30 +219,6 @@ struct Span {
     len: u32,
 }
 
-/// One raw access event captured in a worker chunk, replayed at the merge.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    ptr: usize,
-    /// The cell's index in the chunk's recorder (its place in the chunk's
-    /// kept cells).
-    ci: u32,
-    elem: usize,
-    write: bool,
-    /// Global (serial) iteration index of the enclosing parallel loop.
-    iter: u64,
-    unit: usize,
-    sym: SymId,
-}
-
-/// Worker-side event buffer standing in for the parallel loop's scope
-/// (which lives on the submitting thread).
-struct EventTap {
-    /// Cells the chunk rebinds per worker; a handful, so a vector.
-    excluded: Vec<usize>,
-    iter: u64,
-    events: Vec<Event>,
-}
-
 /// One cell a scope privatizes. A `flow_only` cell is an array privatized
 /// via a section proof: its scope still watches it, but records only
 /// carried *flow* — anti/output are exactly what a valid privatization
@@ -301,29 +259,14 @@ impl ShadowScope {
     }
 }
 
-thread_local! {
-    /// The last finished chunk's tables, emptied: the next chunk on this
-    /// thread starts from their capacity instead of growing its own.
-    static SPARE: std::cell::Cell<Option<Tables>> = const { std::cell::Cell::new(None) };
-}
-
-/// A recorder's cell index, element spans and slots (see [`ShadowRec`]).
-type Tables = (HashMap<usize, u32, WordBuild>, Vec<Vec<Span>>, Vec<Slot>);
-
-/// Everything one worker chunk observed, handed back for the merge.
-pub struct ShadowChunk {
-    events: Vec<Event>,
-    log: ShadowLog,
-    keep: Vec<Arc<Cell>>,
-}
-
-/// The per-execution-context shadow recorder: a scope stack plus, in
-/// worker chunks, the event tap standing in for the parallel loop.
+/// The run's shadow recorder: a scope stack over one history per
+/// location.
 ///
 /// Every recorded cell gets a dense index (its position in `keep`), and
 /// each of its elements a [`Span`] of `slots`: one lookup per access
 /// serves every active scope, and consecutive elements of an array sit
 /// side by side in `spans`.
+#[derive(Default)]
 pub struct ShadowRec {
     scopes: Vec<ShadowScope>,
     /// The active scopes' masked cells, outermost scope first; each scope
@@ -340,53 +283,21 @@ pub struct ShadowRec {
     /// cell skips the table.
     last_cell: (usize, u32),
     /// Per cell index, each element's slots (empty until a scope sees it).
-    /// May run longer than `keep`: an emptied chunk table keeps its rows.
     spans: Vec<Vec<Span>>,
     slots: Vec<Slot>,
-    tap: Option<EventTap>,
     /// Every recorded cell, by cell index. Keeping them alive means a
-    /// freed cell's address is never reused, which would alias distinct
-    /// per-invocation locals.
+    /// freed cell's address is never reused while its history stands,
+    /// which would alias distinct per-invocation locals.
     keep: Vec<Arc<Cell>>,
+    /// Indices of [forgotten](ShadowRec::forget) cells, for new cells.
+    spare: Vec<u32>,
     log: ShadowLog,
 }
 
 impl ShadowRec {
-    /// Recorder for the submitting (serial/simulate/main) thread.
-    pub fn serial() -> ShadowRec {
-        ShadowRec::with_tables(Tables::default(), None)
-    }
-
-    /// Recorder for one worker chunk: accesses that fall past every local
-    /// scope land in the event tap unless the chunk privatizes them.
-    pub fn tapped(excluded: impl IntoIterator<Item = usize>) -> ShadowRec {
-        let excluded = excluded.into_iter().collect();
-        let tap = EventTap { excluded, iter: 0, events: Vec::new() };
-        ShadowRec::with_tables(SPARE.with(|s| s.take()).unwrap_or_default(), Some(tap))
-    }
-
-    fn with_tables((cells, spans, slots): Tables, tap: Option<EventTap>) -> ShadowRec {
-        ShadowRec {
-            scopes: Vec::new(),
-            masks: Vec::new(),
-            free: Vec::new(),
-            stamp: 0,
-            cells,
-            last_cell: (0, 0),
-            spans,
-            slots,
-            tap,
-            keep: Vec::new(),
-            log: ShadowLog::default(),
-        }
-    }
-
-    /// Enter a loop. `excluded` holds the cell addresses the loop
-    /// privatizes: the variable + scalar clause cells for a parallel loop,
-    /// nothing for a serial one. `true_only` holds section-privatized
-    /// *array* cells: invisible outward like `excluded`, but this scope
-    /// still records carried flow through them — the observed witness that
-    /// an (asserted or forced) array privatization was invalid.
+    /// Enter a loop, masking what the loop privatizes (see
+    /// [`ShadowRec::mask`]): the variable + clause cells for a parallel
+    /// loop, nothing for a serial one.
     pub fn push_scope(
         &mut self,
         stmt: StmtId,
@@ -394,27 +305,37 @@ impl ShadowRec {
         true_only: impl IntoIterator<Item = usize>,
     ) {
         self.stamp += 1;
-        let (depth, masks_from) = (self.scopes.len(), self.masks.len());
+        let (stamp, masks_from) = (self.stamp, self.masks.len());
+        let obs = self.free.pop().unwrap_or_default();
+        self.scopes.push(ShadowScope { stmt, iter: 0, stamp, masks_from, obs });
+        self.mask(excluded, true_only);
+    }
+
+    /// Mask cell addresses at the innermost scope until it pops.
+    /// `excluded` cells are invisible to it and to every scope enclosing
+    /// it. `true_only` holds section-privatized *array* cells: invisible
+    /// outward like `excluded`, but this scope still records carried flow
+    /// through them — the observed witness that an (asserted or forced)
+    /// array privatization was invalid. A parallel loop's scope masks the
+    /// clause cells of the frame it runs in, and each of its chunks masks
+    /// the copies it rebinds, by the same rule.
+    pub fn mask(
+        &mut self,
+        excluded: impl IntoIterator<Item = usize>,
+        true_only: impl IntoIterator<Item = usize>,
+    ) {
+        let Some(depth) = self.scopes.len().checked_sub(1) else { return };
         // Flow-only entries first: a cell in both lists is excluded, since
         // the innermost-out scan meets the later entry first.
         let flow_only = true_only.into_iter().map(|ptr| Mask { ptr, depth, flow_only: true });
         let hidden = excluded.into_iter().map(|ptr| Mask { ptr, depth, flow_only: false });
         self.masks.extend(flow_only.chain(hidden));
-        let obs = self.free.pop().unwrap_or_default();
-        self.scopes.push(ShadowScope { stmt, iter: 0, stamp: self.stamp, masks_from, obs });
     }
 
     /// Set the innermost loop's current iteration index.
     pub fn set_iter(&mut self, iter: u64) {
         if let Some(top) = self.scopes.last_mut() {
             top.iter = iter;
-        }
-    }
-
-    /// Set the global iteration index chunk events are stamped with.
-    pub fn set_tap_iter(&mut self, iter: u64) {
-        if let Some(tap) = self.tap.as_mut() {
-            tap.iter = iter;
         }
     }
 
@@ -445,63 +366,25 @@ impl ShadowRec {
         self.free.push(scope.obs);
     }
 
-    /// Record one access. Walks active scopes innermost-out, stopping at
-    /// the first scope that privatizes the cell; accesses that pass every
-    /// scope reach the event tap (worker chunks only).
+    /// Record one access: feed every active scope it reaches, innermost
+    /// out. An excluding scope hides the cell from itself and from every
+    /// scope enclosing it; a true-only scope observes it (flow only) and
+    /// hides it from every scope enclosing it.
     pub fn record(&mut self, cell: &Arc<Cell>, elem: usize, write: bool, unit: usize, sym: SymId) {
         let ptr = Arc::as_ptr(cell) as usize;
         let ci = match self.last_cell {
             (last, ci) if last == ptr => ci,
             _ => self.keep_cell(cell),
         };
-        if !self.feed(ptr, ci, elem, write, unit, sym) {
-            return;
-        }
-        if let Some(tap) = self.tap.as_mut() {
-            if !tap.excluded.contains(&ptr) {
-                tap.events.push(Event { ptr, ci, elem, write, iter: tap.iter, unit, sym });
-            }
-        }
-    }
-
-    /// The index of `cell`, kept alive from its first record on.
-    fn keep_cell(&mut self, cell: &Arc<Cell>) -> u32 {
-        let ptr = Arc::as_ptr(cell) as usize;
-        let next = u32::try_from(self.keep.len()).expect("shadow recorder exceeds u32 cells");
-        let ci = *self.cells.entry(ptr).or_insert(next);
-        if ci == next {
-            self.keep.push(cell.clone());
-            if self.spans.len() == self.keep.len() - 1 {
-                self.spans.push(Vec::new());
-            }
-        }
-        self.last_cell = (ptr, ci);
-        ci
-    }
-
-    /// Feed every scope the access reaches; false when some scope masks
-    /// the cell.
-    fn feed(
-        &mut self,
-        ptr: usize,
-        ci: u32,
-        elem: usize,
-        write: bool,
-        unit: usize,
-        sym: SymId,
-    ) -> bool {
-        // Find the outermost scope that observes the access: an excluding
-        // scope hides the cell from itself and from every scope enclosing
-        // it; a true-only scope observes it (flow only) and hides it from
-        // every scope enclosing it.
+        // The outermost scope that observes the access.
         let depth = self.scopes.len();
-        let (first, flow_only, passes) = match self.masks.iter().rev().find(|m| m.ptr == ptr) {
-            None => (0, None, true),
-            Some(m) if m.flow_only => (m.depth, Some(m.depth), false),
-            Some(m) => (m.depth + 1, None, false),
+        let (first, flow_only) = match self.masks.iter().rev().find(|m| m.ptr == ptr) {
+            None => (0, None),
+            Some(m) if m.flow_only => (m.depth, Some(m.depth)),
+            Some(m) => (m.depth + 1, None),
         };
         if first == depth {
-            return passes;
+            return;
         }
         let at = self.slots_of(ci, elem, depth);
         let scopes = self.scopes[first..].iter_mut();
@@ -516,7 +399,45 @@ impl ShadowRec {
                 }
             }
         }
-        passes
+    }
+
+    /// The index of `cell`, kept alive from its first record on (see
+    /// [`ShadowRec::forget`]).
+    fn keep_cell(&mut self, cell: &Arc<Cell>) -> u32 {
+        let ptr = Arc::as_ptr(cell) as usize;
+        let ci = match self.cells.entry(ptr) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => *e.insert(match self.spare.pop() {
+                Some(ci) => {
+                    self.keep[ci as usize] = cell.clone();
+                    ci
+                }
+                None => {
+                    self.keep.push(cell.clone());
+                    self.spans.push(Vec::new());
+                    u32::try_from(self.keep.len() - 1).expect("shadow recorder exceeds u32 cells")
+                }
+            }),
+        };
+        self.last_cell = (ptr, ci);
+        ci
+    }
+
+    /// Forget cells that no access reaches again, such as a finished
+    /// job's fresh private copies: their histories are cleared and their
+    /// indices go to the next new cells, so the tables grow with the cells
+    /// alive at once rather than with the jobs run. Call it after the
+    /// cells' last record, before their scope pops; a forgotten cell stays
+    /// alive until a new cell takes its index.
+    pub fn forget(&mut self, ptrs: impl IntoIterator<Item = usize>) {
+        for ptr in ptrs {
+            let Some(ci) = self.cells.remove(&ptr) else { continue };
+            for span in &self.spans[ci as usize] {
+                self.slots[span.at as usize..(span.at + span.len) as usize].fill(Slot::EMPTY);
+            }
+            self.spare.push(ci);
+        }
+        self.last_cell = (0, 0);
     }
 
     /// Index of the first of (at least) `depth` slots held by element
@@ -540,36 +461,6 @@ impl ShadowRec {
         span.at as usize
     }
 
-    /// Merge one chunk's observations: replay its event stream through the
-    /// live scope stack (the innermost scope is the parallel loop the
-    /// chunk belongs to) and fold its inner-loop log. Chunks must be
-    /// absorbed in iteration (chunk-start) order.
-    pub fn absorb_chunk(&mut self, chunk: ShadowChunk) {
-        // The chunk's cell indices, translated to this recorder's.
-        let ci: Vec<u32> = chunk.keep.iter().map(|cell| self.keep_cell(cell)).collect();
-        for e in &chunk.events {
-            self.set_iter(e.iter);
-            self.feed(e.ptr, ci[e.ci as usize], e.elem, e.write, e.unit, e.sym);
-        }
-        self.log.fold(chunk.log);
-    }
-
-    /// Finish a worker chunk: hand the raw events + local log to the merge,
-    /// and leave the emptied tables to the next chunk on this thread.
-    pub fn into_chunk(mut self) -> ShadowChunk {
-        self.cells.clear();
-        for row in &mut self.spans {
-            row.clear();
-        }
-        self.slots.clear();
-        SPARE.with(|s| s.set(Some((self.cells, self.spans, self.slots))));
-        ShadowChunk {
-            events: self.tap.map(|t| t.events).unwrap_or_default(),
-            log: self.log,
-            keep: self.keep,
-        }
-    }
-
     /// Finish the run.
     pub fn into_log(self) -> ShadowLog {
         self.log
@@ -586,7 +477,7 @@ mod tests {
     }
 
     fn scoped() -> ShadowRec {
-        let mut rec = ShadowRec::serial();
+        let mut rec = ShadowRec::default();
         rec.push_scope(StmtId(1), HashSet::new(), HashSet::new());
         rec
     }
@@ -649,10 +540,26 @@ mod tests {
     }
 
     #[test]
+    fn forgotten_cells_hand_over_their_index_with_no_history() {
+        let (old, new) = (cell(), cell());
+        let mut rec = scoped();
+        rec.set_iter(0);
+        rec.record(&old, 0, true, 0, sym(1));
+        rec.forget([Arc::as_ptr(&old) as usize]);
+        // Had the history survived, this read would pair with the write.
+        rec.set_iter(1);
+        rec.record(&new, 0, false, 0, sym(1));
+        assert_eq!(rec.keep.len(), 1, "the new cell takes the forgotten index");
+        assert!(Arc::ptr_eq(&rec.keep[0], &new));
+        let obs = pop(rec, 2);
+        assert!(obs.carried.is_empty(), "{:?}", obs.carried);
+    }
+
+    #[test]
     fn excluded_cells_invisible_to_excluding_scope_and_outward() {
         let private = cell();
         let shared = cell();
-        let mut rec = ShadowRec::serial();
+        let mut rec = ShadowRec::default();
         rec.push_scope(StmtId(1), HashSet::new(), HashSet::new()); // outer
         let mut excl = HashSet::new();
         excl.insert(Arc::as_ptr(&private) as usize);
@@ -692,7 +599,7 @@ mod tests {
         // its cell. Only anti/output are carried — and the true_only set
         // suppresses exactly those while hiding the cell from outer scopes.
         let priv_arr = cell();
-        let mut valid = ShadowRec::serial();
+        let mut valid = ShadowRec::default();
         valid.push_scope(StmtId(1), HashSet::new(), HashSet::new()); // outer
         let mut tonly = HashSet::new();
         tonly.insert(Arc::as_ptr(&priv_arr) as usize);
@@ -712,7 +619,7 @@ mod tests {
 
         // An INVALID privatization: iteration i reads what i-1 wrote.
         // The carried flow must survive the filter as the race witness.
-        let mut forced = ShadowRec::serial();
+        let mut forced = ShadowRec::default();
         forced.push_scope(StmtId(2), HashSet::new(), tonly);
         for i in 0..3u64 {
             forced.set_iter(i);
@@ -729,39 +636,5 @@ mod tests {
             "{:?}",
             par.carried
         );
-    }
-
-    #[test]
-    fn tap_replay_matches_direct_recording() {
-        let shared = cell();
-        let worker_private = cell();
-        // Direct: one scope observing iterations 0..4 of a(0) writes.
-        let mut direct = ShadowRec::serial();
-        direct.push_scope(StmtId(9), HashSet::new(), HashSet::new());
-        for i in 0..4u64 {
-            direct.set_iter(i);
-            direct.record(&shared, 0, true, 0, sym(2));
-        }
-        direct.pop_scope("main", 4, |_, s| format!("v{}", s.0));
-        // Tapped: two chunks recording the same accesses, replayed.
-        let mut main = ShadowRec::serial();
-        main.push_scope(StmtId(9), HashSet::new(), HashSet::new());
-        let mut excl = HashSet::new();
-        excl.insert(Arc::as_ptr(&worker_private) as usize);
-        let mut chunks = Vec::new();
-        for (start, len) in [(0u64, 2u64), (2, 2)] {
-            let mut w = ShadowRec::tapped(excl.clone());
-            for i in start..start + len {
-                w.set_tap_iter(i);
-                w.record(&shared, 0, true, 0, sym(2));
-                w.record(&worker_private, 0, true, 0, sym(4));
-            }
-            chunks.push(w.into_chunk());
-        }
-        for c in chunks {
-            main.absorb_chunk(c);
-        }
-        main.pop_scope("main", 4, |_, s| format!("v{}", s.0));
-        assert_eq!(direct.into_log(), main.into_log());
     }
 }
